@@ -90,11 +90,11 @@ def _bench_frame(size: int = 256):
 def _clock(fn, *args, repeat: int = 5, warmup: int = 2) -> float:
     """Best-of-``repeat`` wall time, after ``warmup`` untimed iterations.
 
-    The warmup runs populate every lazily-built cache on the path
-    (context scratch, memoized Huffman LUTs, numpy's internal buffers)
-    so the measured window sees only steady-state cost — mixing the
-    first cold call into the timed set skews the JSON numbers the PR
-    trajectory is judged on.
+    The warmup runs populate every lazily-built cache on the path (the
+    module code and quant-table caches, memoized Huffman LUTs, numpy's
+    internal buffers) so the measured window sees only steady-state
+    cost — mixing the first cold call into the timed set skews the JSON
+    numbers the PR trajectory is judged on.
     """
     import time
 

@@ -34,6 +34,13 @@ class CodecError(ValueError):
     """Raised when a payload cannot be decoded (corrupt or mismatched)."""
 
 
+#: Bound on each content-keyed codec cache: Huffman codes by serialized
+#: table and by frequency vector (:mod:`repro.compress.huffman`), and
+#: quantization tables by quality (:mod:`repro.compress.dct`).  Each
+#: entry is a few KB.
+CACHE_SIZE = 256
+
+
 class Codec(ABC):
     """Abstract byte-stream compressor.
 

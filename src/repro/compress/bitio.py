@@ -17,49 +17,48 @@ __all__ = [
     "unpack_bits",
     "sliding_code_windows",
     "bits_to_bytes",
-    "BitSink",
 ]
 
 MAX_CODE_BITS = 32
 
 
-# Grow-only cached ramp 1, 2, 3, ... shared by every expansion call (the
-# slice read is the only access, so sharing across codecs is safe).
-# int32 suffices: bit-stream sections are far below 2**31 bits, and the
-# narrower cumsum/gather intermediates are measurably cheaper.
+# Grow-only cached ramp 1, 2, 3, ... shared by every expansion call.
+# Callers only read slices, and a grown ramp replaces the old one whole,
+# so concurrent encodes can share it.  int32 suffices: bit-stream
+# sections are far below 2**31 bits, and the narrower cumsum/gather
+# intermediates are measurably cheaper.
 _RAMP = np.arange(1, 1 << 12, dtype=np.int32)
 
 
 def _ramp(total: int) -> np.ndarray:
     global _RAMP
-    if _RAMP.size < total:
-        _RAMP = np.arange(1, max(total, 2 * _RAMP.size) + 1, dtype=np.int32)
-    return _RAMP[:total]
+    ramp = _RAMP  # one read: another thread may swap the global meanwhile
+    if ramp.size < total:
+        size = max(total, 2 * ramp.size)
+        ramp = _RAMP = np.arange(1, size + 1, dtype=np.int32)
+    return ramp[:total]
 
 
 def _expand_bits(values: np.ndarray, lengths: np.ndarray, total: int) -> np.ndarray:
     """Expand ``(value, length)`` pairs into a flat 0/1 ``uint8`` array.
 
-    ``total`` must equal ``lengths.sum()``.  The bit→element map comes
-    from a single ``np.repeat`` (measurably cheaper than either a
-    per-bit ``searchsorted`` or a scatter-ones-then-cumsum chain — the
-    per-bit cumulative sum is a sequential scan and dominates);
-    everything after that is flat gathers and arithmetic over ``total``
-    elements.  Inputs are assumed validated (lengths in
+    ``total`` must equal ``lengths.sum()``.  Both per-bit quantities —
+    the end of the bit's entry and the entry's value — come straight out
+    of one ``np.repeat`` each (measurably cheaper than a per-bit
+    ``searchsorted`` or a scatter-ones-then-cumsum chain, and zero-length
+    entries drop out for free); everything after that is flat arithmetic
+    over ``total`` elements.  Inputs are assumed validated (lengths in
     ``[0, MAX_CODE_BITS]``, values fitting their lengths).
     """
     ends = np.cumsum(lengths, dtype=np.int32)
-    nzl = lengths > 0
-    lnz = lengths[nzl]
-    elem = np.repeat(np.arange(lnz.size, dtype=np.int32), lnz)
-    # shift counts down from length-1 to 0 inside each element (MSB first):
-    # shift = (end_of_element - 1) - absolute_bit_position.
-    shift = ends[nzl][elem]
+    # shift counts down from length-1 to 0 inside each entry (MSB first):
+    # shift = end_of_entry - (absolute_bit_position + 1).
+    shift = np.repeat(ends, lengths)
     shift -= _ramp(total)
     # uint32 is wide enough: only the low `length <= 32` bits are read.
-    vals = values[nzl].astype(np.uint32, copy=False)[elem]
-    # shift is nonnegative (it stays below each element's length), so the
-    # reinterpreting view is a free alternative to an astype copy.
+    vals = np.repeat(values.astype(np.uint32, copy=False), lengths)
+    # shift is nonnegative, so the reinterpreting view is a free
+    # alternative to an astype copy.
     vals >>= shift.view(np.uint32)
     vals &= np.uint32(1)
     return vals.astype(np.uint8)
@@ -86,87 +85,6 @@ def pack_values(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         return b"", 0
     bits = _expand_bits(values, lengths, total)
     return bits_to_bytes(bits), total
-
-
-class BitSink:
-    """Growable bit accumulator for the vectorized entropy encoders.
-
-    A preallocated ``uint8`` bit buffer (one byte per bit until the final
-    ``packbits``) that amortizes allocation across writes and across
-    frames: the encoder keeps one sink per :class:`~repro.compress.
-    context.CodecContext` tag, ``clear()``s it per plane, and the backing
-    array only ever grows.  ``write`` has :func:`pack_values` semantics
-    (MSB-first, zero-length entries contribute nothing) minus validation
-    of value magnitudes.
-    """
-
-    def __init__(self, capacity_bits: int = 1 << 16):
-        self._bits = np.empty(max(int(capacity_bits), 8), dtype=np.uint8)
-        self._n = 0
-
-    @property
-    def nbits(self) -> int:
-        return self._n
-
-    def clear(self) -> None:
-        """Reset to empty; the backing buffer is kept."""
-        self._n = 0
-
-    def _reserve(self, extra: int) -> None:
-        need = self._n + extra
-        if need > self._bits.size:
-            grown = np.empty(max(need, 2 * self._bits.size), dtype=np.uint8)
-            grown[: self._n] = self._bits[: self._n]
-            self._bits = grown
-
-    def write(self, values: np.ndarray, lengths: np.ndarray) -> None:
-        """Append ``values[i]`` as ``lengths[i]`` MSB-first bits each."""
-        values = np.asarray(values)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if values.shape != lengths.shape:
-            raise ValueError("values and lengths must have the same shape")
-        if lengths.size == 0:
-            return
-        if lengths.min() < 0 or lengths.max() > MAX_CODE_BITS:
-            raise ValueError(f"bit lengths must be in [0, {MAX_CODE_BITS}]")
-        total = int(lengths.sum())
-        if total == 0:
-            return
-        self._reserve(total)
-        self._expand_into(
-            values, lengths, total, self._bits[self._n : self._n + total]
-        )
-        self._n += total
-
-    def _expand_into(
-        self,
-        values: np.ndarray,
-        lengths: np.ndarray,
-        total: int,
-        out: np.ndarray,
-    ) -> None:
-        """:func:`_expand_bits` writing into ``out``.
-
-        Same bit layout, cheaper map: the per-bit element id never
-        materializes — both per-bit quantities (entry end and entry
-        value) come straight out of one ``np.repeat`` each, which also
-        absorbs zero-length entries for free, so the mask/compress
-        passes of the module-level version disappear.
-        """
-        ends = np.cumsum(lengths, dtype=np.int32)
-        shift = np.repeat(ends, lengths)
-        shift -= _ramp(total)
-        vals = np.repeat(values.astype(np.uint32, copy=False), lengths)
-        # shift is nonnegative, so the reinterpreting view is free
-        vals >>= shift.view(np.uint32)
-        vals &= np.uint32(1)
-        np.copyto(out, vals, casting="unsafe")
-
-    def payload(self) -> tuple[bytes, int]:
-        """``(packed_bytes, nbits)`` of everything written so far."""
-        if self._n == 0:
-            return b"", 0
-        return bits_to_bytes(self._bits[: self._n]), self._n
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:

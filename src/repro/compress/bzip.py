@@ -37,14 +37,13 @@ import numpy as np
 
 from repro.compress.base import CodecError, LosslessCodec, register_codec
 from repro.compress.bwt import bwt_forward, bwt_inverse
-from repro.compress.context import CodecContext
 from repro.compress.huffman import (
-    HuffmanCode,
     build_code,
     decode_interleaved,
     decode_symbols,
     encode_interleaved,
     encode_symbols,
+    huffman_from_bytes,
 )
 from repro.compress.mtf import mtf_forward, mtf_inverse
 from repro.compress.rle import RLECodec, find_runs
@@ -154,9 +153,6 @@ class BZIPCodec(LosslessCodec):
         2 (default) emits the interleaved-lane container (``RBZ2``);
         1 emits the legacy single-stream container (``RBZP``).  Both
         decode regardless of this setting.
-    context:
-        Optional shared :class:`~repro.compress.context.CodecContext` for
-        cross-frame Huffman-table reuse; private when omitted.
     """
 
     name = "bzip"
@@ -165,7 +161,6 @@ class BZIPCodec(LosslessCodec):
         self,
         block_size: int = 512 * 1024,
         stream_version: int = 2,
-        context: CodecContext | None = None,
     ):
         if block_size < 1024:
             raise ValueError("block_size must be >= 1024")
@@ -173,12 +168,7 @@ class BZIPCodec(LosslessCodec):
             raise ValueError("stream_version must be 1 or 2")
         self.block_size = block_size
         self.stream_version = stream_version
-        self._ctx = context if context is not None else CodecContext()
         self._rle1 = RLECodec(min_run=4)
-
-    def use_context(self, context: CodecContext) -> None:
-        """Adopt a shared cross-codec context (e.g. one per connection)."""
-        self._ctx = context
 
     def encode(self, data: bytes) -> bytes:
         pre = self._rle1.encode(data)
@@ -245,7 +235,7 @@ class BZIPCodec(LosslessCodec):
                 "<III", payload, offset
             )
         offset += head
-        code, offset = self._ctx.huffman_from_bytes(payload, offset)
+        code, offset = huffman_from_bytes(payload, offset)
         if version == 1:
             if offset + 4 > len(payload):
                 raise CodecError("bzip: truncated payload length")

@@ -52,29 +52,18 @@ _TO_YCC = np.array(
 
 def rgb_to_ycbcr_planes(
     rgb: np.ndarray,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(H, W, 3)`` RGB → three contiguous ``(H, W) float32`` planes.
 
     One contiguous uint8→float32 cast, then the whole conversion is a
     single ``(3, 3) @ (3, H*W)`` GEMM — the exact mirror of the decode
     side's :func:`_planar_to_rgb` — plus two scalar adds for the chroma
-    centering.  ``out`` (``(3, H, W) float32``, the result planes) and
-    ``tmp`` (``(4, H, W) float32``; the first three planes' worth holds
-    the cast GEMM input) are optional preallocated workspaces — the JPEG
-    encoder passes context scratch so steady-state encoding allocates
-    nothing here.  The output is identical with or without the
-    workspaces.
+    centering.
     """
     h, w = rgb.shape[:2]
-    if out is None:
-        out = np.empty((3, h, w), dtype=np.float32)
-    if tmp is None:
-        tmp = np.empty((4, h, w), dtype=np.float32)
     n = h * w
-    rgbf = tmp.reshape(-1)[: 3 * n].reshape(n, 3)
-    np.copyto(rgbf, rgb.reshape(n, 3), casting="unsafe")
+    rgbf = rgb.reshape(n, 3).astype(np.float32)
+    out = np.empty((3, h, w), dtype=np.float32)
     planes = out.reshape(3, n)
     np.matmul(_TO_YCC, rgbf.T, out=planes)
     planes[1] += np.float32(128.0)
@@ -137,17 +126,10 @@ def _planar_to_rgb(p: np.ndarray) -> np.ndarray:
     return rgb.T.astype(np.uint8).reshape(h, w, 3)
 
 
-def downsample_420(
-    plane: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Average 2×2 pixel blocks (plane is padded to even dims first).
-
-    ``out`` is an optional preallocated half-size result buffer; the
-    accumulation order matches the plain expression form, so the output
-    is bit-identical with or without it.
-    """
+def downsample_420(plane: np.ndarray) -> np.ndarray:
+    """Average 2×2 pixel blocks (plane is padded to even dims first)."""
     p = pad_to_multiple(plane, 2)
-    a = np.add(p[0::2, 0::2], p[0::2, 1::2], out=out)
+    a = p[0::2, 0::2] + p[0::2, 1::2]
     a += p[1::2, 0::2]
     a += p[1::2, 1::2]
     a *= 0.25

@@ -7,7 +7,11 @@ array turns the whole transform into two broadcast ``matmul`` passes.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from repro.compress.base import CACHE_SIZE
 
 __all__ = [
     "BLOCK",
@@ -15,7 +19,6 @@ __all__ = [
     "dct2_strips",
     "idct2_blocks",
     "blockize",
-    "blockize_into",
     "unblockize",
     "zigzag_indices",
     "quant_tables",
@@ -40,37 +43,13 @@ _BASIS_T = np.ascontiguousarray(_BASIS.T)
 _PARTIAL_BASIS = {kk: _dct_basis(kk) for kk in (2, 4)}
 
 
-def dct2_blocks(
-    blocks: np.ndarray,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
-) -> np.ndarray:
+def dct2_blocks(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II of an ``(n, 8, 8)`` batch.
 
     The separable transform is two batched GEMM passes over the whole
-    block tensor.  ``tmp`` and ``out`` are optional preallocated result
-    buffers for those passes (the encoder hands in
-    :meth:`~repro.compress.context.CodecContext.scratch` arrays so
-    steady-state encoding allocates nothing here); ``out`` may alias
-    ``blocks`` — the first pass has already consumed it — but must not
-    alias ``tmp``.
+    block tensor.
     """
-    tmp = np.matmul(_BASIS, blocks, out=tmp)
-    if (
-        tmp.flags.c_contiguous
-        and out is not None
-        and out.flags.c_contiguous
-    ):
-        # The right-multiply by the shared 8x8 basis treats every block
-        # row independently, so the whole batch collapses into ONE
-        # (n*8, 8) @ (8, 8) GEMM — same 8-term dot products in the same
-        # order (bit-identical), but without the per-block dispatch of a
-        # batched matmul.
-        np.matmul(
-            tmp.reshape(-1, BLOCK), _BASIS_T, out=out.reshape(-1, BLOCK)
-        )
-        return out
-    return np.matmul(tmp, _BASIS_T, out=out)
+    return _BASIS @ blocks @ _BASIS_T
 
 
 def dct2_strips(plane: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -136,29 +115,6 @@ def blockize(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
     return blocks.reshape(-1, BLOCK, BLOCK), bh, bw
 
 
-def blockize_into(
-    plane: np.ndarray, out: np.ndarray, sub: float = 0.0
-) -> tuple[np.ndarray, int, int]:
-    """:func:`blockize` writing into a preallocated ``(n, 8, 8)`` batch.
-
-    Unlike :func:`blockize` (whose result is a strided view) the output
-    is contiguous, which is what the batched GEMM of :func:`dct2_blocks`
-    wants.  ``sub`` is subtracted during the copy (the JPEG level shift
-    rides along with the transpose pass); dtype conversion too.
-    """
-    h, w = plane.shape
-    if h % BLOCK or w % BLOCK:
-        raise ValueError("plane dims must be multiples of 8")
-    bh, bw = h // BLOCK, w // BLOCK
-    view = plane.reshape(bh, BLOCK, bw, BLOCK).transpose(0, 2, 1, 3)
-    dst = out.reshape(bh, bw, BLOCK, BLOCK)
-    if sub:
-        np.subtract(view, np.asarray(sub, dtype=out.dtype), out=dst)
-    else:
-        np.copyto(dst, view, casting="unsafe")
-    return out, bh, bw
-
-
 def unblockize(blocks: np.ndarray, bh: int, bw: int) -> np.ndarray:
     """Invert :func:`blockize`."""
     return (
@@ -210,13 +166,15 @@ STD_CHROMA_QUANT = np.asarray(
 )
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def quant_tables(quality: int) -> tuple[np.ndarray, np.ndarray]:
     """Quality-scaled (luma, chroma) quantization tables, IJG formula.
 
     ``quality`` in 1..100; 50 reproduces the reference tables, higher is
     finer.  This is the user-visible degree-of-loss knob the paper refers
     to ("the user can control the degree of loss by adjusting certain
-    parameters").
+    parameters").  Cached per quality; the returned arrays are read-only
+    because every codec and thread shares them.
     """
     if not 1 <= quality <= 100:
         raise ValueError("quality must be in 1..100")
@@ -224,5 +182,7 @@ def quant_tables(quality: int) -> tuple[np.ndarray, np.ndarray]:
     tables = []
     for base in (STD_LUMA_QUANT, STD_CHROMA_QUANT):
         t = np.floor((base * scale + 50.0) / 100.0)
-        tables.append(np.clip(t, 1, 255).astype(np.float32))
+        t = np.clip(t, 1, 255).astype(np.float32)
+        t.flags.writeable = False
+        tables.append(t)
     return tables[0], tables[1]

@@ -20,26 +20,33 @@ Two stream layouts exist:
   trick (Figure 10) applied *inside* a single stream, cutting the Python
   iteration count by ``K``.
 
-Decode lookup tables are memoized on the :class:`HuffmanCode` instance
-(built at most once per distinct code object; :data:`TABLE_BUILDS` counts
-builds for regression tests), and :class:`~repro.compress.context.
-CodecContext` deduplicates instances across frames by table bytes.
+Encode and decode lookup tables are memoized on the immutable
+:class:`HuffmanCode` instance (built at most once per distinct code
+object; :data:`TABLE_BUILDS` counts builds for regression tests), and two
+bounded module caches deduplicate instances across frames, codecs and
+threads: :func:`huffman_from_bytes` by serialized table and
+:func:`code_for_freqs` by frequency vector.  Codecs hold no other
+per-call state, so one codec instance may encode and decode from several
+threads at once.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compress.base import CodecError
+from repro.compress.base import CACHE_SIZE, CodecError
 from repro.compress.bitio import pack_values, sliding_code_windows, unpack_bits
 
 __all__ = [
     "HuffmanCode",
     "build_code",
+    "code_for_freqs",
+    "huffman_from_bytes",
     "encode_symbols",
     "decode_symbols",
     "encode_interleaved",
@@ -115,9 +122,8 @@ class HuffmanCode:
         The dense packed form costs ``ceil(5·size/8)`` bytes — far below
         the per-used-symbol record format for typical alphabets, which
         matters because every compressed block/plane carries its tables.
-        Memoized on the instance (immutable), so the per-frame cost with
-        a context code cache is one dict/attribute lookup, not a packing
-        pass.
+        Memoized on the instance (immutable), so the per-frame cost of a
+        cached code is one attribute lookup, not a packing pass.
         """
         cached = getattr(self, "_to_bytes_cache", None)
         if cached is None:
@@ -157,8 +163,12 @@ class HuffmanCode:
 
     @classmethod
     def from_lengths(cls, lengths: np.ndarray) -> "HuffmanCode":
-        """Assign canonical codes (shorter first, then symbol order)."""
-        lengths = np.asarray(lengths, dtype=np.uint8)
+        """Assign canonical codes (shorter first, then symbol order).
+
+        Both arrays of the result are read-only: cached instances are
+        shared across codecs and threads.
+        """
+        lengths = np.array(lengths, dtype=np.uint8)
         codes = np.zeros(lengths.size, dtype=np.uint32)
         code = 0
         prev_len = 0
@@ -173,6 +183,8 @@ class HuffmanCode:
             prev_len = ln
         if prev_len and code > (1 << prev_len):
             raise CodecError("huffman: over-subscribed code lengths")
+        lengths.flags.writeable = False
+        codes.flags.writeable = False
         return cls(lengths=lengths, codes=codes)
 
     def decode_tables(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -180,8 +192,10 @@ class HuffmanCode:
 
         Memoized: the tables are built once per code instance and reused
         by every subsequent decode (the instance is immutable).  Combined
-        with :meth:`CodecContext.huffman_from_bytes` deduplication this
-        yields one build per *distinct* table across a whole time series.
+        with :func:`huffman_from_bytes` deduplication this yields one
+        build per *distinct* table across a whole time series.  Two
+        threads racing on a fresh instance may both build; they store
+        equal tables, so either result is correct.
         """
         cached = getattr(self, "_decode_tables_cache", None)
         if cached is None:
@@ -211,8 +225,8 @@ class HuffmanCode:
         ``uint32`` and ``lengths`` ``int64`` (the dtypes the packing
         kernel consumes directly, so a symbol gather is the only work per
         emitted code word).  Memoized on the instance; combined with
-        :meth:`CodecContext.code_for_freqs` deduplication this is one
-        build per *distinct* code across a whole time series.
+        :func:`code_for_freqs` deduplication this is one build per
+        *distinct* code across a whole time series.
         """
         cached = getattr(self, "_encode_tables_cache", None)
         if cached is None:
@@ -256,6 +270,43 @@ def build_code(freqs: np.ndarray, max_bits: int = MAX_BITS) -> HuffmanCode:
             return HuffmanCode.from_lengths(lengths)
         nz = freqs > 0
         freqs[nz] = (freqs[nz] + 1) >> 1
+
+
+def huffman_from_bytes(payload, offset: int = 0) -> tuple[HuffmanCode, int]:
+    """Like :meth:`HuffmanCode.from_bytes`, but deduplicated.
+
+    Returns ``(code, offset_past_table)``.  Identical serialized tables
+    (the common case across the frames of a time series) resolve to one
+    shared, LUT-memoized instance.
+    """
+    if len(payload) < offset + 4:
+        raise CodecError("huffman: truncated code table header")
+    (size,) = struct.unpack_from("<I", payload, offset)
+    if size > 65536:
+        raise CodecError("huffman: implausible code table size")
+    end = offset + 4 + (size * HuffmanCode._LEN_FIELD_BITS + 7) // 8
+    return _code_from_table(bytes(payload[offset:end])), end
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _code_from_table(table: bytes) -> HuffmanCode:
+    return HuffmanCode.from_bytes(table)[0]
+
+
+def code_for_freqs(freqs: np.ndarray) -> HuffmanCode:
+    """Like :func:`build_code`, memoized on the frequency table bytes.
+
+    A smooth animation can present identical symbol statistics frame
+    after frame; those frames share one code instance and its memoized
+    emission LUTs.
+    """
+    key = np.ascontiguousarray(freqs, dtype=np.int64).tobytes()
+    return _code_for_freq_bytes(key)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _code_for_freq_bytes(key: bytes) -> HuffmanCode:
+    return build_code(np.frombuffer(key, dtype=np.int64))
 
 
 def encode_symbols(symbols: np.ndarray, code: HuffmanCode) -> tuple[bytes, int]:

@@ -39,19 +39,19 @@ from repro.compress.color import (
     ycbcr_420_planes_to_rgb,
     ycbcr_planes_to_rgb,
 )
-from repro.compress.context import CodecContext
 from repro.compress.dct import (
     BLOCK,
-    blockize_into,
-    dct2_blocks,
     dct2_strips,
     partial_idct_blocks,
+    quant_tables,
     unblockize,
     zigzag_indices,
 )
 from repro.compress.huffman import (
     HuffmanCode,
+    code_for_freqs,
     decode_interleaved,
+    huffman_from_bytes,
     interleave_entries,
     interleave_header,
 )
@@ -71,20 +71,23 @@ _UNZIGZAG = np.argsort(_ZIGZAG)
 
 _POW2 = 1 << np.arange(32, dtype=np.int64)
 
-# Grow-only constant widths array: metadata bytes enter the bit sink as
+# Grow-only constant widths array: metadata bytes enter the bit packer as
 # width-8 entries, and slicing a shared constant beats allocating a fresh
-# np.full per header section.
+# np.full per header section.  Like every grow-only array here, it is only
+# read through slices and replaced whole when grown, so concurrent encodes
+# share it safely.
 _EIGHTS = np.full(1 << 12, 8, dtype=np.int64)
 
 
 def _meta_entries(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, widths)`` bit-sink entries for literal metadata bytes."""
+    """``(values, widths)`` bit-packing entries for literal metadata bytes."""
     global _EIGHTS
-    if _EIGHTS.size < len(raw):
-        _EIGHTS = np.full(
-            max(len(raw), 2 * _EIGHTS.size), 8, dtype=np.int64
+    eights = _EIGHTS  # one read: another thread may swap the global
+    if eights.size < len(raw):
+        eights = _EIGHTS = np.full(
+            max(len(raw), 2 * eights.size), 8, dtype=np.int64
         )
-    return np.frombuffer(raw, dtype=np.uint8), _EIGHTS[: len(raw)]
+    return np.frombuffer(raw, dtype=np.uint8), eights[: len(raw)]
 
 
 #: grow-only 0, 1, 2, ... shared by the block-index arithmetic below
@@ -93,9 +96,10 @@ _IOTA = np.arange(1 << 12, dtype=np.int64)
 
 def _iota(k: int) -> np.ndarray:
     global _IOTA
-    if _IOTA.size < k:
-        _IOTA = np.arange(max(k, 2 * _IOTA.size), dtype=np.int64)
-    return _IOTA[:k]
+    iota = _IOTA
+    if iota.size < k:
+        iota = _IOTA = np.arange(max(k, 2 * iota.size), dtype=np.int64)
+    return iota[:k]
 
 
 def _sizes(values: np.ndarray) -> np.ndarray:
@@ -316,10 +320,11 @@ class JPEGCodec(Codec):
         (1..255); ``None`` (default) sizes lanes from the stream length
         exactly as before.  Any value decodes everywhere — ``K`` travels
         in the blob header.
-    context:
-        A shared :class:`~repro.compress.context.CodecContext`; a private
-        one is created when omitted, so tables and scratch persist across
-        the frames encoded or decoded by this instance either way.
+
+    Every call allocates its own work arrays, and the only shared state
+    is content-keyed and immutable (Huffman codes, quantization tables,
+    geometry maps), so one instance may encode and decode from several
+    threads at once.
     """
 
     name = "jpeg"
@@ -332,7 +337,6 @@ class JPEGCodec(Codec):
         fast_decode: int = 0,
         stream_version: int = _V2,
         lanes: int | None = None,
-        context: CodecContext | None = None,
     ):
         if fast_decode not in (0, 1, 2, 3):
             raise ValueError("fast_decode must be 0, 1, 2, or 3")
@@ -345,17 +349,12 @@ class JPEGCodec(Codec):
         self.fast_decode = fast_decode
         self.stream_version = stream_version
         self.lanes = lanes
-        self._ctx = context if context is not None else CodecContext()
-        self._luma_q, self._chroma_q = self._ctx.quant_tables(quality)
+        self._luma_q, self._chroma_q = quant_tables(quality)
         # Frame-geometry-keyed encode tables (strip->scan maps, tiled
         # reciprocal quant rows).  Pure functions of (dims, quality), so
-        # they survive use_context() and never need invalidation.
+        # they never need invalidation, and threads that race on a miss
+        # store equal arrays.
         self._geom_cache: dict[tuple, np.ndarray] = {}
-
-    def use_context(self, context: CodecContext) -> None:
-        """Adopt a shared cross-codec context (e.g. one per connection)."""
-        self._ctx = context
-        self._luma_q, self._chroma_q = context.quant_tables(self.quality)
 
     @property
     def _idct_points(self) -> int:
@@ -394,24 +393,14 @@ class JPEGCodec(Codec):
                 1 if self.subsample else 0,
             ),
         ]
-        ctx = self._ctx
         if gray:
             planes = [arr.astype(np.float32)]
             qts = [self._luma_q]
         else:
-            y, cb, cr = rgb_to_ycbcr_planes(
-                arr,
-                out=ctx.scratch("enc_ycc", (3, h, w), np.float32),
-                tmp=ctx.scratch("enc_ycc_tmp", (4, h, w), np.float32),
-            )
+            y, cb, cr = rgb_to_ycbcr_planes(arr)
             if self.subsample:
-                ch, cw = (h + 1) // 2, (w + 1) // 2
-                cb = downsample_420(
-                    cb, out=ctx.scratch("enc_cb", (ch, cw), np.float32)
-                )
-                cr = downsample_420(
-                    cr, out=ctx.scratch("enc_cr", (ch, cw), np.float32)
-                )
+                cb = downsample_420(cb)
+                cr = downsample_420(cr)
             planes = [y, cb, cr]
             qts = [self._luma_q, self._chroma_q, self._chroma_q]
 
@@ -419,7 +408,7 @@ class JPEGCodec(Codec):
         # of one flat coefficient buffer.  The per-block arithmetic is
         # identical to a blockize/batched-matmul chain, but blocks never
         # leave plane layout: the level shift doubles as the copy into the
-        # scratch buffer, both DCT passes are plain GEMMs over strip
+        # coefficient buffer, both DCT passes are plain GEMMs over strip
         # views (see dct2_strips), and quantization broadcasts the table
         # over the (bh, 8, bw, 8) view.  Only the per-plane entropy
         # streams are separated afterwards.
@@ -428,8 +417,8 @@ class JPEGCodec(Codec):
         ns = [bh * bw for bh, bw in dims]
         total = sum(ns)
         nblk = BLOCK * BLOCK
-        buf = ctx.scratch("enc_coeffs", (total * nblk,), np.float32)
-        tmp = ctx.scratch("enc_dct_tmp", (total * nblk,), np.float32)
+        buf = np.empty(total * nblk, dtype=np.float32)
+        tmp = np.empty(total * nblk, dtype=np.float32)
         o = 0
         for p, (bh, bw), nn, qt in zip(padded, dims, ns, qts):
             h8, w8 = bh * BLOCK, bw * BLOCK
@@ -475,26 +464,23 @@ class JPEGCodec(Codec):
             out.append(self._pack_frame(vparts, wparts))
         return b"".join(out)
 
-    def _pack_frame(
-        self, vparts: list[np.ndarray], wparts: list[np.ndarray]
-    ) -> bytes:
-        """Pack every collected v2 plane in one bit-sink pass.
+    @staticmethod
+    def _pack_frame(vparts: list[np.ndarray], wparts: list[np.ndarray]) -> bytes:
+        """Pack every collected v2 plane in one bit-packing pass.
 
-        :meth:`_collect_plane_v2` ends each plane (and each section
+        :meth:`_collect_planes_v2` ends each plane (and each section
         within it) on a byte boundary, so concatenating all entries and
         expanding them in a single pass produces exactly the bytes the
         per-plane joins would.
         """
-        sink = self._ctx.bitsink("jpeg_frame")
-        sink.write(np.concatenate(vparts), np.concatenate(wparts))
-        buf, _ = sink.payload()
+        buf, _ = pack_values(np.concatenate(vparts), np.concatenate(wparts))
         return buf
 
     def _encode_plane_v1(self, zz: np.ndarray, bh: int, bw: int) -> bytes:
         tokens = _PlaneTokens(zz.astype(np.int32))
         dc_freq, ac_freq = tokens.frequencies()
-        dc_code = self._ctx.code_for_freqs(dc_freq)
-        ac_code = self._ctx.code_for_freqs(ac_freq)
+        dc_code = code_for_freqs(dc_freq)
+        ac_code = code_for_freqs(ac_freq)
         payload, nbits = tokens.pack(dc_code, ac_code)
         parts = [
             struct.pack("<IIQ", bh, bw, nbits),
@@ -580,7 +566,7 @@ class JPEGCodec(Codec):
         offs = np.cumsum([0] + ns)
         # DC coefficients live at plane position (i*8, j*8) in strip
         # layout: gather them per plane through a strided view, then zero
-        # them in place (buf is context-owned scratch, consumed by this
+        # them in place (buf is this call's own buffer, consumed by this
         # pass) so the flat nonzero scan below sees only AC coefficients.
         dc = np.empty(total, dtype=np.int64)
         o = 0
@@ -603,12 +589,10 @@ class JPEGCodec(Codec):
         dc_sizes = _sizes(diffs)
 
         # AC nonzeros via one contiguous flat scan over all planes.  The
-        # float comparison goes through a bool scratch first: nonzero on
-        # a bool array takes a fast path that nonzero-on-float misses by
-        # an order of magnitude.
-        nzmask = self._ctx.scratch("enc_nzmask", (buf.size,), np.bool_)
-        np.not_equal(buf, 0, out=nzmask)
-        idx = np.flatnonzero(nzmask)
+        # float comparison goes through a bool array first: nonzero on a
+        # bool array takes a fast path that nonzero-on-float misses by an
+        # order of magnitude.
+        idx = np.flatnonzero(np.not_equal(buf, 0))
         # Map each flat strip-layout index to its global scan position
         # (block_index * 64 + zigzag position): one sparse gather through
         # the geometry-cached translation table.
@@ -678,10 +662,8 @@ class JPEGCodec(Codec):
             dsz = dc_sizes[lo:hi]
             vsz = val_sizes[vlo:vhi]
             ac_p = ac_syms[tstart:tend]
-            dc_code = self._ctx.code_for_freqs(np.bincount(dsz, minlength=16))
-            ac_code = self._ctx.code_for_freqs(
-                np.bincount(ac_p, minlength=256)
-            )
+            dc_code = code_for_freqs(np.bincount(dsz, minlength=16))
+            ac_code = code_for_freqs(np.bincount(ac_p, minlength=256))
             dv, dw, dnb, dk, dlen = interleave_entries(
                 dsz, dc_code, self.lanes
             )
@@ -736,7 +718,7 @@ class JPEGCodec(Codec):
             raise CodecError(f"jpeg: bad channel count {channels}")
         if not 1 <= quality <= 100:
             raise CodecError(f"jpeg: bad quality field {quality}")
-        luma_q, chroma_q = self._ctx.quant_tables(quality)
+        luma_q, chroma_q = quant_tables(quality)
         offset = 4 + 12
         planes = []
         # a plane's block grid can never exceed the padded image grid
@@ -771,8 +753,8 @@ class JPEGCodec(Codec):
         offset += 16
         if bh < 1 or bw < 1 or bh * bw > max_blocks:
             raise CodecError(f"jpeg: implausible block grid {bh}x{bw}")
-        dc_code, offset = self._ctx.huffman_from_bytes(payload, offset)
-        ac_code, offset = self._ctx.huffman_from_bytes(payload, offset)
+        dc_code, offset = huffman_from_bytes(payload, offset)
+        ac_code, offset = huffman_from_bytes(payload, offset)
         if offset + 4 > len(payload):
             raise CodecError("jpeg: truncated plane payload length")
         (plen,) = struct.unpack_from("<I", payload, offset)
@@ -826,8 +808,8 @@ class JPEGCodec(Codec):
         if n_ac < nblocks or n_ac > 65 * nblocks:
             # every block carries at least an EOB and at most 64 tokens + EOB
             raise CodecError("jpeg: implausible AC token count")
-        dc_code, offset = self._ctx.huffman_from_bytes(payload, offset)
-        ac_code, offset = self._ctx.huffman_from_bytes(payload, offset)
+        dc_code, offset = huffman_from_bytes(payload, offset)
+        ac_code, offset = huffman_from_bytes(payload, offset)
         dc_syms, offset = decode_interleaved(payload, offset, nblocks, dc_code)
         ac_syms, offset = decode_interleaved(payload, offset, n_ac, ac_code)
         if offset + 12 > len(payload):
@@ -878,8 +860,7 @@ class JPEGCodec(Codec):
         # float32 blocks: only nonzero tokens are touched, so the unzigzag
         # gather and the full-plane dequant multiply both disappear.
         qflat = qtable.reshape(-1)
-        blocks = self._ctx.scratch("blocks", (nblocks, 64), np.float32)
-        blocks.fill(0.0)
+        blocks = np.zeros((nblocks, 64), dtype=np.float32)
         dc = np.cumsum(vals[:nblocks]).astype(np.float32)
         dc *= qflat[0]
         # +128 level shift folded into the DC coefficient (128 * 8)

@@ -54,39 +54,48 @@ _SEGRAMP = np.zeros(0, dtype=np.int32)
 _ITEM_RAMP = np.zeros(0, dtype=np.int64)
 
 
+# Each helper reads its global once: a concurrent call may swap in a
+# grown array at any time, and only the local copy is sure to be big
+# enough.
+
+
 def _iota(k: int) -> np.ndarray:
     """``arange(k)`` from a shared read-only cache."""
     global _IOTA
-    if _IOTA.size < k:
-        _IOTA = np.arange(max(k, 2 * _IOTA.size), dtype=np.int64)
-    return _IOTA[:k]
+    a = _IOTA
+    if a.size < k:
+        a = _IOTA = np.arange(max(k, 2 * a.size), dtype=np.int64)
+    return a[:k]
 
 
 def _iota32(k: int) -> np.ndarray:
     """``arange(k)`` as int32, from a shared read-only cache."""
     global _IOTA32
-    if _IOTA32.size < k:
-        _IOTA32 = np.arange(max(k, 2 * _IOTA32.size), dtype=np.int32)
-    return _IOTA32[:k]
+    a = _IOTA32
+    if a.size < k:
+        a = _IOTA32 = np.arange(max(k, 2 * a.size), dtype=np.int32)
+    return a[:k]
 
 
 def _segramp(k: int) -> np.ndarray:
     """Bytes remaining in the parse segment at each position (incl. it)."""
     global _SEGRAMP
-    if _SEGRAMP.size < k:
-        i = np.arange(max(k, 2 * _SEGRAMP.size), dtype=np.int32)
-        _SEGRAMP = np.int32(_SEG) - (i & np.int32(_SEG - 1))
-    return _SEGRAMP[:k]
+    a = _SEGRAMP
+    if a.size < k:
+        i = np.arange(max(k, 2 * a.size), dtype=np.int32)
+        a = _SEGRAMP = np.int32(_SEG) - (i & np.int32(_SEG - 1))
+    return a[:k]
 
 
 def _item_ramp(k: int) -> np.ndarray:
     """``i + (i >> 3) + 1`` per token: item offset assuming all-literal
     groups (one flag byte per eight tokens), from a shared cache."""
     global _ITEM_RAMP
-    if _ITEM_RAMP.size < k:
-        i = np.arange(max(k, 2 * _ITEM_RAMP.size), dtype=np.int64)
-        _ITEM_RAMP = i + (i >> 3) + 1
-    return _ITEM_RAMP[:k]
+    a = _ITEM_RAMP
+    if a.size < k:
+        i = np.arange(max(k, 2 * a.size), dtype=np.int64)
+        a = _ITEM_RAMP = i + (i >> 3) + 1
+    return a[:k]
 
 
 def _extend_matches(

@@ -111,6 +111,13 @@ class RemoteVisualizationSession:  # speaks: renderer
                 "parallel_compression derives pieces from the group; "
                 "leave n_pieces at 1"
             )
+        if parallel_compression and codec == "framediff":
+            # the rank threads would interleave their strips through one
+            # per-stream reference frame, so decodes come out garbled
+            raise ValueError(
+                "framediff keeps one reference frame per stream and "
+                "cannot encode sub-images from several ranks"
+            )
         self.dataset = dataset
         self.group_size = group_size
         self.camera = camera if camera is not None else Camera()

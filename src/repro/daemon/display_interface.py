@@ -16,7 +16,6 @@ from typing import Any
 import numpy as np
 
 from repro.compress import Codec, get_codec
-from repro.compress.context import CodecContext
 from repro.daemon.display_daemon import DisplayDaemon
 from repro.daemon.protocol import ControlMessage, FrameMessage, decode_message
 from repro.net.transport import ChannelClosed, FramedConnection
@@ -82,17 +81,10 @@ class DisplayInterface:  # speaks: display
         self._lock = threading.Lock()
         #: control/hello traffic received with no handler on this end
         self.unknown_controls = 0  # guarded-by: _lock
-        # One context for the whole connection: Huffman decode tables,
-        # quantization matrices, and scratch buffers persist across frames
-        # and are shared by every codec this interface instantiates.
-        self.codec_context = CodecContext()
 
     def _decoder(self, name: str) -> Codec:
         if name not in self._codecs:
-            codec = get_codec(name)
-            if hasattr(codec, "use_context"):
-                codec.use_context(self.codec_context)
-            self._codecs[name] = codec
+            self._codecs[name] = get_codec(name)
         return self._codecs[name]
 
     # -- receiving ------------------------------------------------------------

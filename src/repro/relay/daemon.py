@@ -42,7 +42,6 @@ import threading
 import time
 from typing import NamedTuple
 
-from repro.compress.context import CodecContext
 from repro.daemon.protocol import (
     ControlMessage,
     FrameMessage,
@@ -439,7 +438,7 @@ class FrameRelay:  # speaks: relay
         self._spawn(self._pump, session, name=f"{name}@{self.name}-pump")
         self._spawn(self._player, session, name=f"{name}@{self.name}-player")
         self._notify()
-        return ViewerHandle(name, viewer_side, CodecContext(), resumed=resumed)
+        return ViewerHandle(name, viewer_side, resumed=resumed)
 
     def _detach(self, session: RelaySession, resumable: bool) -> None:
         with self._lock:

@@ -34,6 +34,20 @@ _FULL_BOX: Box = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 _LUT_SIZE = 1024  # classification look-up-table resolution
 
 
+def _lower_cell(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower voxel index and ``float32`` weight of the upper neighbour.
+
+    The clamp to the last cell happens in index space: a coordinate at
+    or past ``n - 1`` lands in cell ``n - 2`` with weight 1, in any
+    float precision.  (Clamping the coordinate to ``n - 1 - eps``
+    instead rounds back to ``n - 1`` in ``float32`` and indexes one
+    voxel past the end.)
+    """
+    c = np.clip(c, 0.0, n - 1)
+    i0 = np.minimum(c.astype(np.int64), n - 2)
+    return i0, (c - i0).astype(np.float32)
+
+
 def sample_trilinear(volume: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of ``volume`` at ``(n, 3)`` voxel coords.
 
@@ -41,15 +55,9 @@ def sample_trilinear(volume: np.ndarray, coords: np.ndarray) -> np.ndarray:
     a renderer that treats brick boundaries as repeated boundary voxels.
     """
     nx, ny, nz = volume.shape
-    x = np.clip(coords[:, 0], 0.0, nx - 1.000001)
-    y = np.clip(coords[:, 1], 0.0, ny - 1.000001)
-    z = np.clip(coords[:, 2], 0.0, nz - 1.000001)
-    x0 = x.astype(np.int64)
-    y0 = y.astype(np.int64)
-    z0 = z.astype(np.int64)
-    fx = (x - x0).astype(np.float32)
-    fy = (y - y0).astype(np.float32)
-    fz = (z - z0).astype(np.float32)
+    x0, fx = _lower_cell(coords[:, 0], nx)
+    y0, fy = _lower_cell(coords[:, 1], ny)
+    z0, fz = _lower_cell(coords[:, 2], nz)
 
     flat = volume.ravel()
     syz = ny * nz

@@ -183,10 +183,12 @@ def _bilinear_sample_2d(img: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.n
     """Sample (H, W, C) image at fractional coords, zero outside."""
     h, w = img.shape[:2]
     valid = (ii >= 0) & (ii <= h - 1) & (jj >= 0) & (jj <= w - 1)
-    i = np.clip(ii, 0, h - 1.000001)
-    j = np.clip(jj, 0, w - 1.000001)
-    i0 = i.astype(np.int64)
-    j0 = j.astype(np.int64)
+    # clamp to the last cell in index space, as raycast._lower_cell
+    # does, so edge coordinates stay in bounds in float32 too
+    i = np.clip(ii, 0, h - 1)
+    j = np.clip(jj, 0, w - 1)
+    i0 = np.minimum(i.astype(np.int64), h - 2)
+    j0 = np.minimum(j.astype(np.int64), w - 2)
     fi = (i - i0)[..., None]
     fj = (j - j0)[..., None]
     c00 = img[i0, j0]

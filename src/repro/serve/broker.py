@@ -30,7 +30,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.compress import Codec
-from repro.compress.context import CodecContext
 from repro.devtools.lockset import guarded_by
 from repro.daemon.protocol import (
     ControlMessage,
@@ -103,7 +102,6 @@ class SessionBroker:  # speaks: broker
         #: name — consumed when the same name rejoins
         self._resume: dict[str, tuple[SessionStats, int, int]] = {}  # guarded-by: _lock
         self._encoders: dict[tuple[str, int | None], Codec] = {}  # guarded-by: _encode_lock
-        self._encoder_context = CodecContext()
         self._history: OrderedDict[int, tuple[int, np.ndarray]] = OrderedDict()  # guarded-by: _lock
         self._threads: list[threading.Thread] = []  # guarded-by: _lock
         #: wakes drain() on ack arrival, session departure, and close
@@ -178,7 +176,6 @@ class SessionBroker:  # speaks: broker
             conn = broker_side
             if fault_plan is not None:
                 conn = FaultyConnection(broker_side, fault_plan, retry=retry)
-            context = CodecContext()
             session = ViewerSession(
                 name,
                 conn,
@@ -187,7 +184,6 @@ class SessionBroker:  # speaks: broker
                 controller=AdaptiveQualityController(
                     self.step_down_after, self.step_up_after
                 ),
-                codec_context=context,
             )
             if resume is not None:
                 stats, tier_index, last_acked = resume
@@ -207,9 +203,7 @@ class SessionBroker:  # speaks: broker
             )
             t.start()
             self._threads.append(t)
-        return ViewerHandle(
-            name, viewer_side, context, resumed=resume is not None
-        )
+        return ViewerHandle(name, viewer_side, resumed=resume is not None)
 
     def leave(
         self,
@@ -341,8 +335,6 @@ class SessionBroker:  # speaks: broker
         codec = self._encoders.get(key)
         if codec is None:
             codec = tier.make_codec()
-            if hasattr(codec, "use_context"):
-                codec.use_context(self._encoder_context)
             self._encoders[key] = codec
         return codec
 

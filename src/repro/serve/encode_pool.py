@@ -41,7 +41,6 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from repro.compress import Codec, get_codec
-from repro.compress.context import CodecContext
 from repro.devtools.lockset import guarded_by
 
 __all__ = ["EncodePool", "EncodeFailed"]
@@ -55,16 +54,10 @@ class EncodeFailed(RuntimeError):
     """A worker raised while encoding (deterministic codec error)."""
 
 
-def _make_codec(codec_name: str, quality: int | None,
-                context: CodecContext) -> Codec:
-    codec = (
-        get_codec(codec_name)
-        if quality is None
-        else get_codec(codec_name, quality=quality)
-    )
-    if hasattr(codec, "use_context"):
-        codec.use_context(context)
-    return codec
+def _make_codec(codec_name: str, quality: int | None) -> Codec:
+    if quality is None:
+        return get_codec(codec_name)
+    return get_codec(codec_name, quality=quality)
 
 
 def _record_error(results, worker_id: int, task_id: int,
@@ -79,12 +72,10 @@ def _worker_main(worker_id: int, tasks, results,
                  shared_tracker: bool) -> None:
     """One worker process: map the plane, encode, ship the payload back.
 
-    Codecs (and their :class:`CodecContext` scratch buffers) persist
-    across tasks, so a worker stays as warm as the in-process encoder
-    it replaces.
+    Codecs persist across tasks, so a worker stays as warm as the
+    in-process encoder it replaces.
     """
     codecs: dict[tuple[str, int | None], Codec] = {}
-    context = CodecContext()
     while True:
         task = tasks.get()
         if task is None:
@@ -111,7 +102,7 @@ def _worker_main(worker_id: int, tasks, results,
             key = (codec_name, quality)
             codec = codecs.get(key)
             if codec is None:
-                codec = _make_codec(codec_name, quality, context)
+                codec = _make_codec(codec_name, quality)
                 codecs[key] = codec
             payload = codec.encode_image(image)
         except Exception as exc:  # shipped back typed, never swallowed
@@ -201,9 +192,6 @@ class EncodePool:
         self._free_slots: list[shared_memory.SharedMemory] = []  # guarded-by: _lock
         self._all_slots: list[shared_memory.SharedMemory] = []  # guarded-by: _lock
         self._inline_codecs: dict[tuple[str, int | None], Codec] = {}  # guarded-by: _lock
-        #: serializes inline-fallback encodes (they share scratch buffers)
-        self._inline_lock = threading.Lock()
-        self._inline_context = CodecContext()
         self._task_counter = 0  # guarded-by: _lock
         self._next_worker = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
@@ -402,10 +390,9 @@ class EncodePool:
                     del self._inflight[pending.key]
             cached = self._inline_codecs.get((codec, quality))
             if cached is None:
-                cached = _make_codec(codec, quality, self._inline_context)
+                cached = _make_codec(codec, quality)
                 self._inline_codecs[(codec, quality)] = cached
-        with self._inline_lock:
-            return cached.encode_image(image)
+        return cached.encode_image(image)
 
     # -- result collection / crash recovery ----------------------------------
 

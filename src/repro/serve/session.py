@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compress import Codec, get_codec
-from repro.compress.context import CodecContext
 from repro.devtools.lockset import guarded_by
 from repro.daemon.protocol import (
     ControlMessage,
@@ -95,7 +94,6 @@ class ViewerSession:  # speaks: broker
         ladder: TierLadder,
         credit_limit: int = 4,
         controller: AdaptiveQualityController | None = None,
-        codec_context: CodecContext | None = None,
     ):
         if credit_limit < 1:
             raise ValueError("credit_limit must be >= 1")
@@ -104,8 +102,6 @@ class ViewerSession:  # speaks: broker
         self.ladder = ladder
         self.credit_limit = credit_limit
         self.controller = controller or AdaptiveQualityController()
-        #: the decode-side context shared with this session's ViewerHandle
-        self.codec_context = codec_context or CodecContext()
         self._lock = threading.Lock()
         self.tier_index = 0  # guarded-by: _lock
         self.in_flight = 0  # guarded-by: _lock
@@ -252,10 +248,7 @@ class ViewerSession:  # speaks: broker
 
     def stats_snapshot(self) -> SessionStats:
         with self._lock:
-            return self._stats.copy(
-                decode_context_hit_ratio=self.codec_context.hit_ratio(),
-                active=self.active,
-            )
+            return self._stats.copy(active=self.active)
 
 
 @dataclass(frozen=True)
@@ -273,17 +266,15 @@ class ServedFrame:
 class ViewerHandle:  # speaks: client
     """The viewer's end of a broker session.
 
-    ``next_frame()`` blocks for the next delivered frame, decodes it with
-    this session's persistent :class:`CodecContext`, and acks it — the
-    ack is what returns the delivery credit, so a viewer that stops
-    calling ``next_frame`` is, by construction, a slow viewer.
+    ``next_frame()`` blocks for the next delivered frame, decodes it,
+    and acks it — the ack is what returns the delivery credit, so a
+    viewer that stops calling ``next_frame`` is, by construction, a slow
+    viewer.
     """
 
-    def __init__(self, name: str, conn: FramedConnection,
-                 codec_context: CodecContext, resumed: bool = False):
+    def __init__(self, name: str, conn: FramedConnection, resumed: bool = False):
         self.name = name
         self.conn = conn
-        self.codec_context = codec_context
         self._codecs: dict[str, Codec] = {}
         #: most recent tier the broker told us we are watching
         self.current_tier: str | None = None
@@ -304,8 +295,6 @@ class ViewerHandle:  # speaks: client
         codec = self._codecs.get(name)
         if codec is None:
             codec = get_codec(name)
-            if hasattr(codec, "use_context"):
-                codec.use_context(self.codec_context)
             self._codecs[name] = codec
         return codec
 

@@ -35,7 +35,6 @@ class SessionStats:
     bytes_sent: int = 0
     acks: int = 0
     transitions: list[TierTransition] = field(default_factory=list)
-    decode_context_hit_ratio: float = 0.0
     active: bool = True
     #: times this logical session reconnected and resumed its stream
     reconnects: int = 0

@@ -86,6 +86,20 @@ class TestShearWarp:
         r2 = (x - 0.5) ** 2 + (y - 0.5) ** 2 + (z - 0.5) ** 2
         return np.exp(-r2 / 0.03).astype(np.float32)
 
+    def test_warp_sampler_float32_edge_in_bounds(self):
+        """Edge coordinates in float32 land on the last row/column: the
+        sampler used to clamp to ``h - 1 - eps``, which rounds back to
+        ``h - 1`` in float32 and indexes one row past the end."""
+        from repro.render.shearwarp import _bilinear_sample_2d
+
+        rng = np.random.default_rng(3)
+        img = rng.random((64, 64, 3)).astype(np.float32)
+        ii = np.array([[63.0, 10.0]], dtype=np.float32)
+        jj = np.array([[10.0, 63.0]], dtype=np.float32)
+        out = _bilinear_sample_2d(img, ii, jj)
+        assert np.allclose(out[0, 0], img[63, 10], atol=1e-6)
+        assert np.allclose(out[0, 1], img[10, 63], atol=1e-6)
+
     def test_preprocess_structure(self, blob):
         sw = ShearWarpRenderer(TransferFunction.grayscale(0.4), Camera())
         pre = sw.preprocess(blob)

@@ -93,6 +93,23 @@ class TestParallelCompressionSession:
             reference = sess.render_step(2)
         assert psnr(reference, frame.image) > 25.0
 
+    def test_framediff_rejected(self, dataset):
+        """framediff keeps one reference frame per stream, so the rank
+        threads' strips would be coded against each other's pixels: the
+        session used to display wrong frames (max error 255)."""
+        with pytest.raises(ValueError, match="framediff"):
+            RemoteVisualizationSession(
+                dataset, group_size=4, codec="framediff",
+                spmd=True, parallel_compression=True,
+            )
+        # one stream per session is fine: assembled frames still work
+        cam = Camera(image_size=(48, 48))
+        with RemoteVisualizationSession(
+            dataset, group_size=4, camera=cam, codec="framediff", spmd=True,
+        ) as sess:
+            frames = [sess.step(t) for t in range(2)]
+            assert np.array_equal(frames[1].image, sess.render_step(1))
+
     def test_validation(self, dataset):
         with pytest.raises(ValueError, match="requires spmd"):
             RemoteVisualizationSession(

@@ -29,6 +29,46 @@ class TestTrilinear:
         assert vals[0] == pytest.approx(vol[0, 0, 0])
         assert vals[1] == pytest.approx(vol[1, 1, 1], abs=1e-4)
 
+    def test_float32_edge_coordinates_stay_in_bounds(self):
+        """The clamp to the last cell happens in index space: ``n - 1 -
+        eps`` rounds back to ``n - 1`` in float32 and used to index one
+        voxel past the end."""
+        rng = np.random.default_rng(1)
+        vol = rng.random((64, 64, 64)).astype(np.float32)
+        coords = np.array(
+            [[63.5, 10, 10], [63, 63, 63], [10, 63.9, 10], [10, 10, 70]],
+            dtype=np.float32,
+        )
+        vals = sample_trilinear(vol, coords)
+        expected = [vol[63, 10, 10], vol[63, 63, 63], vol[10, 63, 10], vol[10, 10, 63]]
+        assert np.allclose(vals, expected, atol=1e-6)
+
+    def test_in_range_float64_samples_unchanged(self):
+        """Inside the clamp range the index-space clamp is a no-op."""
+        rng = np.random.default_rng(2)
+        vol = rng.random((9, 10, 11)).astype(np.float32)
+        coords = rng.random((500, 3)) * (np.array(vol.shape) - 1.000001)
+        i0 = coords.astype(np.int64)
+        f = (coords - i0).astype(np.float32)
+        x0, y0, z0 = i0.T
+        fx, fy, fz = f.T
+        c = [
+            [
+                [vol[x0 + a, y0 + b, z0 + d] for d in (0, 1)]
+                for b in (0, 1)
+            ]
+            for a in (0, 1)
+        ]
+        c0 = (c[0][0][0] * (1 - fz) + c[0][0][1] * fz) * (1 - fy) + (
+            c[0][1][0] * (1 - fz) + c[0][1][1] * fz
+        ) * fy
+        c1 = (c[1][0][0] * (1 - fz) + c[1][0][1] * fz) * (1 - fy) + (
+            c[1][1][0] * (1 - fz) + c[1][1][1] * fz
+        ) * fy
+        assert np.array_equal(
+            sample_trilinear(vol, coords), c0 * (1 - fx) + c1 * fx
+        )
+
     def test_linearity_along_axis(self):
         vol = np.zeros((3, 2, 2), dtype=np.float32)
         vol[2] = 2.0

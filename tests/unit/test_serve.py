@@ -67,52 +67,6 @@ class TestFrameCache:
         assert len(cache) == 1
 
 
-class TestEncoderContextReuse:
-    """Cold cache fills must reuse the broker's persistent encode state."""
-
-    def test_cold_fills_do_not_churn_context_buffers(self):
-        tier = QualityTier("hq", "jpeg", quality=75)
-        frames = synthetic_frames(6)
-        with SessionBroker() as broker:
-            # First cold fill allocates the context scratch set for this
-            # frame geometry; every later fill must hit those exact arrays.
-            broker._payload(0, tier, frames[0])
-            ctx = broker._encoder_context
-            codec = broker._encoder(tier)
-            allocs = ctx.stats["buffer_allocs"]
-            assert allocs > 0  # the jpeg encoder really routes through ctx
-            buffer_ids = {k: id(v) for k, v in ctx._buffers.items()}
-            sink_ids = {k: id(v) for k, v in ctx._sinks.items()}
-
-            for i, frame in enumerate(frames[1:], start=1):
-                broker._payload(i, tier, frame)
-
-            assert broker.encodes == len(frames)  # all cold, none cached
-            assert broker._encoder(tier) is codec  # one codec per tier
-            # No per-frame ndarray churn: zero new scratch allocations and
-            # every pooled buffer/bit-sink is the same object as after the
-            # warm-up frame.
-            assert ctx.stats["buffer_allocs"] == allocs
-            assert {k: id(v) for k, v in ctx._buffers.items()} == buffer_ids
-            assert {k: id(v) for k, v in ctx._sinks.items()} == sink_ids
-
-    def test_two_phase_tier_shares_one_context(self):
-        tier = QualityTier("wan", "jpeg+lzo", quality=75)
-        frames = synthetic_frames(4)
-        with SessionBroker() as broker:
-            broker._payload(0, tier, frames[0])
-            ctx = broker._encoder_context
-            codec = broker._encoder(tier)
-            # The context-aware stage of the two-phase codec holds the
-            # broker's context (use_context fans out to every stage that
-            # supports one).
-            assert codec.first._ctx is ctx
-            allocs = ctx.stats["buffer_allocs"]
-            for i, frame in enumerate(frames[1:], start=1):
-                broker._payload(i, tier, frame)
-            assert ctx.stats["buffer_allocs"] == allocs
-
-
 class TestTiers:
     def test_default_ladder_degrades_monotonically(self):
         ladder = default_ladder()
