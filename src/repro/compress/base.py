@@ -54,6 +54,10 @@ class Codec(ABC):
     name: str = "abstract"
     #: whether decode(encode(x)) == x holds exactly.
     lossless: bool = True
+    #: whether the instance keeps state across the frames of one stream
+    #: (a reference frame), so it cannot encode sub-images that several
+    #: threads produce at once.
+    per_stream: bool = False
 
     @abstractmethod
     def encode(self, data: bytes) -> bytes:

@@ -43,6 +43,7 @@ class FrameDifferencingCodec(Codec):
 
     name = "framediff"
     lossless = True
+    per_stream = True
 
     def __init__(self, inner: LosslessCodec | None = None, key_interval: int = 0):
         if key_interval < 0:

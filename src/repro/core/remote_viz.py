@@ -84,6 +84,17 @@ class RemoteVisualizationSession:  # speaks: renderer
         Initial compression method name (display can switch it).
     n_pieces:
         Sub-images per frame (parallel compression mode; 1 = assembled).
+    parallel_compression:
+        §4.1 per-rank compression: every SPMD rank encodes and ships its
+        own strip through the shared codec, so a per-stream codec
+        (``framediff``) is refused, here and on a remote ``set_codec``.
+    cull:
+        Crop each volume to its occupied bounding box
+        (:func:`~repro.render.raycast.cull_empty_space`) before
+        decomposing it.  The crop moves the bricks and with them every
+        ray's sample grid, so images differ slightly from ``cull=False``;
+        the renderer's own empty-space leaping keeps the grid and skips
+        empty macrocells inside each brick either way.
     """
 
     def __init__(
@@ -111,13 +122,6 @@ class RemoteVisualizationSession:  # speaks: renderer
                 "parallel_compression derives pieces from the group; "
                 "leave n_pieces at 1"
             )
-        if parallel_compression and codec == "framediff":
-            # the rank threads would interleave their strips through one
-            # per-stream reference frame, so decodes come out garbled
-            raise ValueError(
-                "framediff keeps one reference frame per stream and "
-                "cannot encode sub-images from several ranks"
-            )
         self.dataset = dataset
         self.group_size = group_size
         self.camera = camera if camera is not None else Camera()
@@ -130,7 +134,16 @@ class RemoteVisualizationSession:  # speaks: renderer
         self.background = background
 
         self.daemon = DisplayDaemon(buffer_frames=buffer_frames)
-        self.renderer = RendererInterface(self.daemon, codec=codec)
+        try:
+            # the rank threads of parallel compression share one codec,
+            # so a per-stream codec (framediff) would garble the strips
+            self.renderer = RendererInterface(
+                self.daemon, codec=codec,
+                concurrent_encode=parallel_compression,
+            )
+        except BaseException:
+            self.daemon.close()
+            raise
         self.display = DisplayInterface(self.daemon)
         self._next_frame_id = 0
         self._closed = False

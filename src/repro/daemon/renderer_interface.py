@@ -37,6 +37,11 @@ class RendererInterface:  # speaks: renderer
         switch it remotely via a ``set_codec`` control message.
     name:
         Identification for logs.
+    concurrent_encode:
+        Several threads encode through this interface at once (§4.1
+        per-rank parallel compression).  A codec that keeps per-stream
+        state (:attr:`Codec.per_stream`) is then refused, both here and
+        on a remote ``set_codec``.
     """
 
     def __init__(
@@ -45,6 +50,7 @@ class RendererInterface:  # speaks: renderer
         codec: str | Codec = "jpeg+lzo",
         name: str = "renderer",
         connection=None,
+        concurrent_encode: bool = False,
     ):
         """Attach either in-process (``daemon=``) or over an established
         transport such as :func:`repro.daemon.tcp.connect_daemon`
@@ -52,9 +58,15 @@ class RendererInterface:  # speaks: renderer
         if (daemon is None) == (connection is None):
             raise ValueError("provide exactly one of daemon or connection")
         self.name = name
-        self._codec = get_codec(codec) if isinstance(codec, str) else codec
+        self.concurrent_encode = concurrent_encode
+        self._codec = self._usable(
+            get_codec(codec) if isinstance(codec, str) else codec)
         self._controls: deque[ControlMessage] = deque()
         self._controls_lock = threading.Lock()
+        #: remote ``set_codec`` requests refused (unknown codec, bad
+        #: options, or a per-stream codec under concurrent encoding);
+        #: the previous codec keeps encoding
+        self.codec_refusals = 0  # guarded-by: _controls_lock
         if connection is not None:
             self.conn = connection
         else:
@@ -70,6 +82,14 @@ class RendererInterface:  # speaks: renderer
     @property
     def codec(self) -> Codec:
         return self._codec
+
+    def _usable(self, codec: Codec) -> Codec:
+        if self.concurrent_encode and codec.per_stream:
+            raise ValueError(
+                f"{codec.name} keeps one reference frame per stream and "
+                "cannot encode sub-images from several ranks"
+            )
+        return codec
 
     # -- frames --------------------------------------------------------------
 
@@ -171,9 +191,15 @@ class RendererInterface:  # speaks: renderer
                 return
             if isinstance(msg, ControlMessage):
                 if msg.tag == "set_codec":
-                    self._codec = get_codec(
-                        msg.params["name"], **msg.params.get("options", {})
-                    )
+                    try:
+                        self._codec = self._usable(get_codec(
+                            msg.params["name"],
+                            **msg.params.get("options", {}),
+                        ))
+                    except (KeyError, TypeError, ValueError):
+                        with self._controls_lock:
+                            self.codec_refusals += 1
+                        continue
                 with self._controls_lock:
                     self._controls.append(msg)
 

@@ -8,9 +8,15 @@ termination, and subvolume (brick) rendering for the parallel
 decomposition — each processor renders its brick *independent of other
 processors*, producing a premultiplied partial RGBA image.
 
-All rays advance together one sample at a time; the active-ray index set
-shrinks as rays exit the box or saturate, so the inner loop touches only
-live rays.
+All live rays advance together, each on its own sample grid
+``t0 + k·step``; the active-ray index set shrinks as rays exit the box
+or saturate.  Per call the brick is reduced to a min/max grid of 4-voxel
+macrocells (with the one-voxel apron trilinear taps reach), and a cell
+is empty when no classification-table entry its value range can round
+to has non-zero opacity.  A ray whose sample falls in an empty cell
+leaps to the first grid point past the cell's exit plane; this is exact
+because every skipped sample would have composited ``(1 - a)·0``, so the
+image is the one a one-sample-per-step march on the same grid gives.
 """
 
 from __future__ import annotations
@@ -32,6 +38,11 @@ __all__ = [
 Box = tuple[tuple[float, float, float], tuple[float, float, float]]
 _FULL_BOX: Box = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 _LUT_SIZE = 1024  # classification look-up-table resolution
+_CELL_SHIFT = 2  # macrocells span 2**_CELL_SHIFT lower-cell indices per axis
+#: voxel-space margin kept before a macrocell's exit plane, far above the
+#: rounding of sample coordinates, so a leap never skips a sample that
+#: rounds into the next cell
+_LEAP_MARGIN = 1e-6
 
 
 def _lower_cell(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,11 +65,15 @@ def sample_trilinear(volume: np.ndarray, coords: np.ndarray) -> np.ndarray:
     Coordinates are clamped to the valid range (edge extension), matching
     a renderer that treats brick boundaries as repeated boundary voxels.
     """
-    nx, ny, nz = volume.shape
-    x0, fx = _lower_cell(coords[:, 0], nx)
-    y0, fy = _lower_cell(coords[:, 1], ny)
-    z0, fz = _lower_cell(coords[:, 2], nz)
+    (x0, fx), (y0, fy), (z0, fz) = [
+        _lower_cell(coords[:, a], n) for a, n in enumerate(volume.shape)
+    ]
+    return _interpolate(volume, x0, y0, z0, fx, fy, fz)
 
+
+def _interpolate(volume, x0, y0, z0, fx, fy, fz) -> np.ndarray:
+    """Blend the eight voxels above lower cells ``(x0, y0, z0)``."""
+    _, ny, nz = volume.shape
     flat = volume.ravel()
     syz = ny * nz
     base = x0 * syz + y0 * nz + z0
@@ -80,6 +95,50 @@ def sample_trilinear(volume: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return c0 * (1 - fx) + c1 * fx
 
 
+def _cell_reduce(a: np.ndarray, axis: int, op: np.ufunc) -> np.ndarray:
+    """Reduce ``a`` over each macrocell's voxels along ``axis``.
+
+    Macrocell ``j`` holds lower-cell indices ``[jM, jM + M)``; their
+    trilinear taps reach voxels ``jM .. jM + M`` (clipped to the last
+    voxel), so each cell also takes the first voxel of the next.
+    """
+    starts = np.arange(0, max(a.shape[axis] - 1, 1), 1 << _CELL_SHIFT)
+    out = op.reduceat(a, starts, axis=axis)
+    if starts.size > 1:
+        head = [slice(None)] * 3
+        head[axis] = slice(0, -1)
+        head = tuple(head)
+        out[head] = op(out[head], np.take(a, starts[1:], axis=axis))
+    return out
+
+
+def _occupancy(vol: np.ndarray, lut: np.ndarray) -> np.ndarray | None:
+    """Macrocells where some sample may classify to non-zero opacity.
+
+    A sample is a convex blend of its cell's voxels, so it lies in the
+    cell's ``[min, max]`` up to float rounding; the table indices it can
+    round to are widened by one on each side and the cell is empty only
+    if all of them have alpha exactly 0.  This holds for any transfer
+    function, monotone or not.  Returns ``None`` when no cell is empty.
+    """
+    visible = np.concatenate([[0], np.cumsum(lut[:, 3] > 0)])
+    if visible[-1] == lut.shape[0]:
+        return None
+    vmin, vmax = vol, vol
+    for axis in range(3):
+        vmin = _cell_reduce(vmin, axis, np.minimum)
+        vmax = _cell_reduce(vmax, axis, np.maximum)
+    # a NaN voxel widens its cell to the whole table
+    vmin = np.nan_to_num(vmin, nan=0.0)
+    vmax = np.nan_to_num(vmax, nan=1.0)
+    first = np.clip(np.floor(vmin * _LUT_SIZE) - 1, 0, _LUT_SIZE)
+    last = np.clip(np.ceil(vmax * _LUT_SIZE) + 1, 0, _LUT_SIZE)
+    occupied = (
+        visible[last.astype(np.int64) + 1] > visible[first.astype(np.int64)]
+    )
+    return None if occupied.all() else occupied
+
+
 def cull_empty_space(
     volume: np.ndarray, threshold: float = 0.0, box: Box = _FULL_BOX
 ) -> tuple[np.ndarray, Box] | None:
@@ -91,8 +150,12 @@ def cull_empty_space(
     ready to pass straight to :func:`render_volume`, which then marches
     rays only through the occupied region.  The crop is padded by one
     voxel per side so trilinear support at the cut is preserved, and the
-    transfer function must map values ≤ ``threshold`` to zero opacity
-    for the culled image to be exact.
+    transfer function must map values ≤ ``threshold`` to zero opacity,
+    or the crop drops visible voxels.  Even then the image is a
+    resampling of the uncropped one, not a copy: the tight box starts
+    every ray's sample grid at a different point.  The macrocell
+    skipping inside :func:`render_volume` leaves the grid in place; this
+    crop only shortens the rays' walk to the occupied region.
 
     Returns ``None`` when nothing exceeds the threshold (a fully
     transparent frame).
@@ -128,6 +191,27 @@ def cull_empty_space(
         float(lo_w[a] + span[a] * hi_idx[a] / denom[a]) for a in range(3)
     )
     return np.ascontiguousarray(vol[tuple(slices)]), (new_lo, new_hi)
+
+
+def _leap(k, coords, dc, cell, step) -> np.ndarray:
+    """Grid index of each ray's first sample past its macrocell.
+
+    ``dc`` is the ray direction in voxel units per unit ``t`` (one shared
+    row for orthographic rays).  A ray leaves cell ``j`` through the
+    plane ``(j + 1)·M`` going up or ``j·M`` going down; in the first and
+    last cells that plane is the box face, where the ray ends anyway.
+    The exit distance is shortened by :data:`_LEAP_MARGIN`, so the
+    landing sample may still lie in the cell (it is then looked up
+    again); a ray always advances at least one sample.
+    """
+    gap = np.full(k.size, np.inf)
+    for axis in range(3):
+        dca = dc[:, axis]
+        plane = (cell[axis] + (dca >= 0)) << _CELL_SHIFT
+        dist = np.abs(plane - coords[:, axis]) - _LEAP_MARGIN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.fmin(gap, dist / np.abs(dca), out=gap)
+    return np.maximum(k + 1, np.ceil(k + gap / step))
 
 
 def _lambert_shade(
@@ -274,8 +358,10 @@ def render_volume(
     per_ray = direction.ndim == 2
     active = np.flatnonzero(t1 > t0)
     if active.size:
-        tcur = t0[active].copy()
+        tstart = t0[active]
         tend = t1[active]
+        k = np.zeros(active.size)  # sample index on each ray's grid
+        tcur = tstart
         scale = (np.asarray(vol.shape, dtype=np.float64) - 1) / span
         dirv = direction.astype(np.float64)
         # Classification LUT: one opacity-corrected table lookup per
@@ -284,12 +370,35 @@ def render_volume(
         lut = tf.sample(
             np.linspace(0.0, 1.0, _LUT_SIZE + 1, dtype=np.float32), step=step
         ).astype(np.float32)
+        occupied = _occupancy(vol, lut)
+        if occupied is not None:
+            cells_y, cells_z = occupied.shape[1:]
+            occupied = occupied.ravel()
         while active.size:
             # positions of this sample for all live rays
             d = dirv[active] if per_ray else dirv[None, :]
             pos = origins[active] + tcur[:, None] * d
             coords = (pos - lo[None, :]) * scale[None, :]
-            values = sample_trilinear(vol, coords)
+            (x0, fx), (y0, fy), (z0, fz) = [
+                _lower_cell(coords[:, a], n) for a, n in enumerate(vol.shape)
+            ]
+            rows = slice(None)
+            if occupied is not None:
+                cell = (x0 >> _CELL_SHIFT, y0 >> _CELL_SHIFT,
+                        z0 >> _CELL_SHIFT)
+                hit = occupied[(cell[0] * cells_y + cell[1]) * cells_z
+                               + cell[2]]
+                if not hit.all():
+                    miss = np.flatnonzero(~hit)
+                    k[miss] = _leap(k[miss], coords[miss],
+                                    (d[miss] if per_ray else d) * scale,
+                                    [c[miss] for c in cell], step)
+                    rows = np.flatnonzero(hit)
+                    x0, y0, z0 = x0[rows], y0[rows], z0[rows]
+                    fx, fy, fz = fx[rows], fy[rows], fz[rows]
+                    coords = coords[rows]
+            k[rows] += 1
+            values = _interpolate(vol, x0, y0, z0, fx, fy, fz)
             idx = np.rint(values * _LUT_SIZE).astype(np.int64)
             np.clip(idx, 0, _LUT_SIZE, out=idx)
             rgba = lut[idx]
@@ -297,16 +406,19 @@ def render_volume(
                 shade = _lambert_shade(vol, coords, scale, light, ambient)
                 rgba = rgba.copy()
                 rgba[:, :3] *= shade[:, None]
-            a_in = alpha[active]
+            ray = active[rows]
+            a_in = alpha[ray]
             contrib = (1.0 - a_in) * rgba[:, 3]
-            rgb[active] += contrib[:, None] * rgba[:, :3]
-            alpha[active] = a_in + contrib
-            tcur += step
+            rgb[ray] += contrib[:, None] * rgba[:, :3]
+            alpha[ray] = a_in + contrib
+            tcur = tstart + k * step
             keep = (tcur < tend) & (alpha[active] < early_termination)
             if not keep.all():
                 active = active[keep]
+                tstart = tstart[keep]
                 tcur = tcur[keep]
                 tend = tend[keep]
+                k = k[keep]
 
     out = np.concatenate([rgb, alpha[:, None]], axis=1)
     return out.reshape(h, w, 4)

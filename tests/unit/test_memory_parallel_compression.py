@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import PipelineConfig, RemoteVisualizationSession
 from repro.data import turbulent_jet
+from repro.devtools.waiting import wait_until
 from repro.render import Camera
 from repro.sim.cluster import RWCP_CLUSTER
 from repro.sim.costs import JET_PROFILE, MIXING_PROFILE, CostModel
@@ -109,6 +110,33 @@ class TestParallelCompressionSession:
         ) as sess:
             frames = [sess.step(t) for t in range(2)]
             assert np.array_equal(frames[1].image, sess.render_step(1))
+
+    def test_remote_switch_to_framediff_refused(self, dataset):
+        """The constructor check has a control-path twin: a display's
+        ``set_codec("framediff")`` is refused and counted, and the rank
+        threads keep encoding with the previous codec."""
+        cam = Camera(image_size=(48, 48))
+        with RemoteVisualizationSession(
+            dataset, group_size=4, camera=cam, codec="lzo",
+            spmd=True, parallel_compression=True,
+        ) as sess:
+            sess.step(0)
+            sess.display.set_codec("framediff")
+            wait_until(lambda: sess.renderer.codec_refusals, timeout=5,
+                       message="set_codec never reached the renderer")
+            assert sess.renderer.codec_refusals == 1
+            assert sess.renderer.codec.name == "lzo"
+            for t in (1, 2, 3):
+                frame = sess.step(t)
+                assert frame.n_pieces == 4
+                assert np.array_equal(frame.image, sess.render_step(t))
+            # an unknown name is refused the same way, not fatal to the
+            # listener: a shareable codec is still accepted after it
+            sess.display.set_codec("no-such-codec")
+            sess.display.set_codec("rle")
+            wait_until(lambda: sess.renderer.codec.name == "rle", timeout=5,
+                       message="codec switch never applied")
+            assert sess.renderer.codec_refusals == 2
 
     def test_validation(self, dataset):
         with pytest.raises(ValueError, match="requires spmd"):
