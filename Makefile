@@ -2,7 +2,7 @@
 
 PY ?= python3
 
-.PHONY: help install test lint analyze bench bench-fast bench-smoke serve-smoke serve-shard-smoke faults-smoke relay-smoke reproduce examples clean
+.PHONY: help install test lint analyze bench bench-fast bench-smoke serve-smoke faults-smoke relay-smoke reproduce examples clean
 
 help:
 	@echo "install      pip install -e ."
@@ -10,7 +10,7 @@ help:
 	@echo "lint         concurrency/protocol lint + DT7xx lockset + DT8xx resource-flow + DT9xx protocol conformance + lint-marked tests"
 	@echo "analyze      DT7xx lockset + DT8xx resource-flow + DT9xx protoflow analyzers alone (src, against the baselines)"
 	@echo "bench        full benchmark suite"
-	@echo "bench-smoke  fast perf guardrails (decode, serve, shards, faults, relay)"
+	@echo "bench-smoke  fast perf guardrails (decode, serve, encode pool, faults, relay)"
 	@echo "reproduce    regenerate the paper-reproduction report"
 	@echo "examples     run every example script"
 	@echo "clean        remove build/test artifacts"
@@ -48,18 +48,15 @@ bench-fast:
 # Quick decode-throughput guardrail (seconds, not minutes): runs only the
 # perf_smoke-marked tests, which assert order-of-magnitude floors.
 # PYTHONPATH=src so it works from a fresh checkout without `make install`.
-bench-smoke: serve-smoke serve-shard-smoke faults-smoke relay-smoke
+bench-smoke: serve-smoke faults-smoke relay-smoke
 	PYTHONPATH=src $(PY) -m pytest tests/ -m perf_smoke
 
 # Serving-layer guardrail: the fan-out benchmark at tiny scale
-# (4 viewers, 16 frames) — catches broker/cache regressions in seconds.
+# (4 viewers, 16 frames), plus one broker with a 2-worker encode pool at
+# 4 and 64 viewers, where warm fps must not collapse as the viewer count
+# grows 16x — catches broker/cache/pool regressions in seconds.
 serve-smoke:
 	PYTHONPATH=src $(PY) -m pytest tests/unit/test_serve_smoke.py -m perf_smoke
-
-# Scale-out guardrail: 2 shards x 2 encode workers at 4 and 64 viewers —
-# warm fps must not collapse as the viewer count grows 16x.
-serve-shard-smoke:
-	PYTHONPATH=src $(PY) -m pytest tests/unit/test_shard_smoke.py -m perf_smoke
 
 # Resilience guardrail: one lossy/jittery WAN cell — catches retry,
 # credit-leak, and reconnect-resume regressions in seconds.

@@ -1,4 +1,4 @@
-"""Serving-layer fan-out: delivered frames/sec vs. viewer and shard count.
+"""Serving-layer fan-out: delivered frames/sec vs. viewers and encode pool.
 
 The north-star workload is many viewers on one rendered stream.  This
 bench publishes one synthetic animated sequence through the serving
@@ -6,16 +6,15 @@ layer and records delivered-frames/sec for a *cold* cache (every
 (frame, tier) encoded once) and a *warm* cache (the same frame ids
 republished, pure cache hits).  Two sweeps:
 
-- the legacy **viewers** sweep (1/4/16/64 viewers, one shard, every
-  viewer decoding) — the trajectory tracked since the broker landed;
-- the **shards** sweep (1/2/4 shards x 4..256 viewers), where brokers
-  run behind the :class:`~repro.serve.shard.SessionRouter` with a
-  2-worker encode pool at >1 shard, and only ``AUDIT_VIEWERS`` viewers
-  decode (the rest ack without decompressing, so the numbers measure
-  serving capacity rather than this one process's decode CPU — see
+- the legacy **viewers** sweep (1/4/16/64 viewers, in-process
+  encodes, every viewer decoding) — the trajectory tracked since the broker landed;
+- the **encode_workers** sweep (0/2 pool workers x 4..256 viewers on
+  one broker), where only ``AUDIT_VIEWERS`` viewers decode (the rest
+  ack without decompressing, so the numbers measure serving capacity
+  rather than this one process's decode CPU — see
   ``repro.serve.fanout``).  Warm fps should be flat-or-rising with
-  viewer count at >=2 shards; its rows also carry warm delivery-latency
-  percentiles (publish->receipt).
+  viewer count; its rows also carry warm delivery-latency percentiles
+  (publish->receipt).
 
 Run under pytest (quick sanity rows) or as a script for the tracked
 machine-readable trajectory::
@@ -23,8 +22,8 @@ machine-readable trajectory::
     PYTHONPATH=src python benchmarks/bench_serve_fanout.py --json
 
 writes/updates ``BENCH_serve.json`` at the repo root under ``--label``.
-``--shard-delta`` prints a small markdown table (warm fps at 4 vs 64
-viewers, 1 vs 2 shards) for CI job summaries.
+``--pool-delta`` prints a small markdown table (warm fps at 4 vs 64
+viewers, 0 vs 2 encode workers) for CI job summaries.
 """
 
 import sys
@@ -39,12 +38,11 @@ from _util import emit, fast_mode, fmt_row  # noqa: E402
 from repro.serve.fanout import run_fanout, synthetic_frames  # noqa: E402
 
 VIEWER_COUNTS = (1, 4, 16, 64)
-SHARD_COUNTS = (1, 2, 4)
-SHARD_VIEWER_COUNTS = (4, 16, 64, 256)
-#: decoding viewers per run in the shards sweep; the rest are ack-only
+#: encode-pool sizes of the capacity sweep (0 = in-process encodes)
+POOL_WORKERS = (0, 2)
+POOL_VIEWER_COUNTS = (4, 16, 64, 256)
+#: decoding viewers per run in the capacity sweep; the rest are ack-only
 AUDIT_VIEWERS = 2
-#: pool size used whenever the shards sweep runs more than one shard
-SHARD_ENCODE_WORKERS = 2
 
 
 def _counts():
@@ -104,35 +102,33 @@ def _row(r: dict) -> dict:
 
 def measure_sweep(n_frames: int = 32, size: int = 96) -> dict:
     frames = synthetic_frames(n_frames, size=size)
-    # legacy single-shard sweep: every viewer decodes, directly
-    # comparable with the trajectory recorded before sharding existed
+    # legacy sweep: every viewer decodes, directly comparable with the
+    # trajectory recorded since the broker landed
     rows = {}
     for n in VIEWER_COUNTS:
         rows[str(n)] = _row(run_fanout(n, frames, credit_limit=32))
-    # shards axis: serving capacity at scale (audited decode sampling)
-    shard_rows = {}
-    for shards in SHARD_COUNTS:
-        per_viewers = {}
-        for n in SHARD_VIEWER_COUNTS:
-            r = run_fanout(
-                n,
-                frames,
-                credit_limit=32,
-                shards=shards,
-                encode_workers=SHARD_ENCODE_WORKERS if shards > 1 else 0,
-                audit_viewers=AUDIT_VIEWERS,
+    # encode_workers axis: serving capacity at scale (audited decode
+    # sampling), with and without the encode pool
+    pool_rows = {}
+    for workers in POOL_WORKERS:
+        pool_rows[str(workers)] = {
+            str(n): _row(
+                run_fanout(
+                    n,
+                    frames,
+                    credit_limit=32,
+                    encode_workers=workers,
+                    audit_viewers=AUDIT_VIEWERS,
+                )
             )
-            per_viewers[str(n)] = _row(r)
-        shard_rows[str(shards)] = {
-            "encode_workers": SHARD_ENCODE_WORKERS if shards > 1 else 0,
-            "viewers": per_viewers,
+            for n in POOL_VIEWER_COUNTS
         }
     return {
         "n_frames": n_frames,
         "image_size": size,
         "viewers": rows,
         "audit_viewers": AUDIT_VIEWERS,
-        "shards": shard_rows,
+        "encode_workers": pool_rows,
     }
 
 
@@ -148,29 +144,30 @@ def write_json(path, label: str, n_frames: int, size: int) -> dict:
     return doc
 
 
-def shard_delta_table(n_frames: int = 16, size: int = 64) -> list[str]:
+def pool_delta_table(n_frames: int = 16, size: int = 64) -> list[str]:
     """Quick warm-fps comparison (markdown rows) for CI job summaries:
-    4 vs 64 viewers at 1 and 2 shards, decode audited on 2 viewers."""
+    4 vs 64 viewers on one broker at 0 and 2 encode workers, decode
+    audited on 2 viewers."""
     frames = synthetic_frames(n_frames, size=size)
     lines = [
-        "| shards | warm f/s @4 viewers | warm f/s @64 viewers | delta |",
+        "| encode workers | warm f/s @4 viewers | warm f/s @64 viewers "
+        "| delta |",
         "|---|---|---|---|",
     ]
-    for shards in (1, 2):
+    for workers in POOL_WORKERS:
         warm = {}
         for n in (4, 64):
             r = run_fanout(
                 n,
                 frames,
                 credit_limit=32,
-                shards=shards,
-                encode_workers=SHARD_ENCODE_WORKERS if shards > 1 else 0,
+                encode_workers=workers,
                 audit_viewers=AUDIT_VIEWERS,
             )
             warm[n] = r["warm"]["delivered_fps"]
         ratio = warm[64] / warm[4] if warm[4] else 0.0
         lines.append(
-            f"| {shards} | {warm[4]:.1f} | {warm[64]:.1f} | {ratio:.2f}x |"
+            f"| {workers} | {warm[4]:.1f} | {warm[64]:.1f} | {ratio:.2f}x |"
         )
     return lines
 
@@ -182,21 +179,21 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--json", action="store_true", help="write BENCH_serve.json")
     ap.add_argument(
-        "--shard-delta",
+        "--pool-delta",
         action="store_true",
-        help="print the warm-fps shard scaling table (markdown) and exit",
+        help="print the warm-fps encode-pool table (markdown) and exit",
     )
     ap.add_argument("--out", default=str(repo_root / "BENCH_serve.json"))
     ap.add_argument("--label", default="current")
     ap.add_argument("--frames", type=int, default=32)
     ap.add_argument("--size", type=int, default=96)
     args = ap.parse_args(argv)
-    if args.shard_delta:
-        for line in shard_delta_table():
+    if args.pool_delta:
+        for line in pool_delta_table():
             print(line)
         return
     if not args.json:
-        ap.error("nothing to do: pass --json or --shard-delta")
+        ap.error("nothing to do: pass --json or --pool-delta")
     doc = write_json(args.out, args.label, args.frames, args.size)
     for n, row in sorted(doc[args.label]["viewers"].items(), key=lambda kv: int(kv[0])):
         print(
@@ -205,14 +202,13 @@ def main(argv=None) -> None:
             f"encodes {row['cold_encodes']}+{row['warm_encodes']}  "
             f"warm hit {row['warm_hit_ratio'] * 100:.1f}%"
         )
-    for shards, block in sorted(
-        doc[args.label].get("shards", {}).items(), key=lambda kv: int(kv[0])
+    for workers, block in sorted(
+        doc[args.label].get("encode_workers", {}).items(),
+        key=lambda kv: int(kv[0]),
     ):
-        for n, row in sorted(
-            block["viewers"].items(), key=lambda kv: int(kv[0])
-        ):
+        for n, row in sorted(block.items(), key=lambda kv: int(kv[0])):
             print(
-                f"{shards} shard(s) x {n:>3} viewers: "
+                f"{workers} encode worker(s) x {n:>3} viewers: "
                 f"cold {row['cold_fps']:>8.1f} f/s  "
                 f"warm {row['warm_fps']:>8.1f} f/s  "
                 f"warm p99 {row['warm_p99_ms']:.1f} ms"

@@ -140,9 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-viewer delivery credits before drops begin")
     p.add_argument("--synthetic", action="store_true",
                    help="use synthetic frames instead of rendering the dataset")
-    p.add_argument("--shards", type=int, default=1,
-                   help="broker shards behind the consistent-hash "
-                        "session router (1 = single broker)")
     p.add_argument("--encode-workers", type=int, default=0,
                    help="encode-pool worker processes for cold cache "
                         "fills (0 = encode in-process)")
@@ -173,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relays", type=int, default=0,
                    help="route the scenario through N edge relays (the "
                         "fault plan moves to the relay→viewer hop)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="serve through N broker shards behind the "
-                        "session router")
     p.add_argument("--encode-workers", type=int, default=0,
                    help="encode-pool worker processes (0 = in-process)")
     p.set_defaults(func=cmd_faults)
@@ -420,7 +414,9 @@ def cmd_serve(args) -> int:
     import threading
     import time
 
-    from repro.serve import SessionBroker, SessionRouter
+    from contextlib import nullcontext
+
+    from repro.serve import EncodePool, SessionBroker
     from repro.serve.fanout import synthetic_frames
 
     if args.synthetic:
@@ -439,15 +435,12 @@ def cmd_serve(args) -> int:
             for t in range(min(args.frames, dataset.n_steps))
         ]
     n_slow = min(args.slow, args.viewers)
-    if args.shards > 1 or args.encode_workers > 0:
-        broker = SessionRouter(
-            shards=args.shards,
-            encode_workers=args.encode_workers,
-            credit_limit=args.credits,
-        )
-    else:
-        broker = SessionBroker(credit_limit=args.credits)
-    with broker:
+    with (
+        EncodePool(args.encode_workers) if args.encode_workers > 0
+        else nullcontext()
+    ) as pool, SessionBroker(
+        credit_limit=args.credits, encode_pool=pool
+    ) as broker:
         fast = [broker.join(f"fast{i}") for i in range(args.viewers - n_slow)]
         slow = [broker.join(f"slow{i}") for i in range(n_slow)]
         stop = threading.Event()
@@ -503,7 +496,6 @@ def cmd_faults(args) -> int:
         credit_limit=args.credits,
         pace_s=args.pace,
         relays=args.relays,
-        shards=args.shards,
         encode_workers=args.encode_workers,
     )
     if args.relays:

@@ -218,7 +218,6 @@ _CTOR_LAST = {
     "connect_daemon": KIND_TCP,
     "create_connection": KIND_SOCKET,
     "SessionBroker": KIND_DAEMON,
-    "SessionRouter": KIND_DAEMON,
     "FrameRelay": KIND_DAEMON,
     "EncodePool": KIND_DAEMON,
     "DisplayDaemon": KIND_DAEMON,

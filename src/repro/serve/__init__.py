@@ -1,7 +1,7 @@
 """The serving layer: one renderer stream, many adaptive viewers.
 
 A new subsystem layered over the §4.1 daemon/transport stack for the
-"many viewers over a WAN" regime.  Four pieces:
+"many viewers over a WAN" regime.  Five pieces:
 
 - :class:`~repro.serve.broker.SessionBroker` — viewer membership
   (join/leave/seek) and fan-out publishing;
@@ -15,10 +15,9 @@ A new subsystem layered over the §4.1 daemon/transport stack for the
   broadcast;
 - :class:`~repro.serve.stats.ServeStats` — the operator surface:
   per-session sent/dropped/bytes, cache hit ratio, tier transitions;
-- :class:`~repro.serve.shard.SessionRouter` /
-  :class:`~repro.serve.encode_pool.EncodePool` — the scale-out layer:
-  N broker shards behind consistent-hash session routing, with cold
-  encodes on a shared-memory multi-process worker pool.
+- :class:`~repro.serve.encode_pool.EncodePool` — an optional
+  shared-memory multi-process worker pool a broker hands its cold
+  encodes to.
 
 ``repro.serve.fanout`` measures delivered frames/sec against viewer
 count (the ``bench_serve_fanout`` benchmark and ``make serve-smoke``).
@@ -29,7 +28,6 @@ from repro.serve.cache import FrameCache
 from repro.serve.encode_pool import EncodeFailed, EncodePool
 from repro.serve.fanout import measure_fanout, run_fanout, synthetic_frames
 from repro.serve.faultrun import run_with_faults, sweep_faults
-from repro.serve.shard import SessionRouter, shard_for
 from repro.serve.session import (
     AdaptiveQualityController,
     FrameDecodeError,
@@ -42,8 +40,6 @@ from repro.serve.tiers import QualityTier, TierLadder, default_ladder
 
 __all__ = [
     "SessionBroker",
-    "SessionRouter",
-    "shard_for",
     "EncodePool",
     "EncodeFailed",
     "FrameCache",

@@ -71,8 +71,6 @@ class SessionBroker:  # speaks: broker
         A shared :class:`~repro.serve.encode_pool.EncodePool`; cold
         cache fills are encoded on its worker processes instead of the
         calling broker thread (the broker never owns or closes it).
-    name:
-        Label for this broker (shards are ``shard0``, ``shard1``, …).
     """
 
     def __init__(
@@ -84,10 +82,8 @@ class SessionBroker:  # speaks: broker
         step_up_after: int = 16,
         history_frames: int = 32,
         encode_pool=None,
-        name: str = "broker",
     ):
         self.ladder = ladder or default_ladder()
-        self.name = name
         self.encode_pool = encode_pool
         self.cache = FrameCache(cache_bytes)
         self.credit_limit = credit_limit
@@ -314,8 +310,7 @@ class SessionBroker:  # speaks: broker
 
         def encode_pooled() -> bytes:
             # the cache key is the content address: concurrent misses
-            # on the same key (here or on another shard sharing this
-            # pool) coalesce onto one worker encode
+            # on the same key coalesce onto one worker encode
             try:
                 payload = self.encode_pool.encode(
                     image, tier.codec, tier.quality, key=key

@@ -19,8 +19,7 @@ Correctness properties the serve layer relies on:
 
 - **Coalescing** — concurrent requests for the same content address
   (the ``(frame_id, codec, quality)`` cache key) share one worker
-  encode; every shard of a sharded broker can miss on the same frame
-  and the origin still pays for it once.
+  encode, so racing cold fills of one frame still pay for it once.
 - **Crash retry** — a worker that dies mid-encode has its in-flight
   tasks reassigned to a live worker (and the dead worker respawned);
   the caller never observes the crash, and because results land in the

@@ -1,19 +1,16 @@
 """Fan-out measurement harness: delivered frames/sec vs. viewer count.
 
 Used by ``benchmarks/bench_serve_fanout.py`` (full sweep, ``--json``)
-and the ``make serve-smoke`` / ``make serve-shard-smoke`` guardrails.
-Viewers are real :class:`~repro.serve.session.ViewerHandle` consumers on
-their own threads, decoding every delivered frame; the cold pass encodes
-each (frame, tier) once, the warm pass republishes the same frame ids
+and the ``make serve-smoke`` guardrail.  Viewers are real
+:class:`~repro.serve.session.ViewerHandle` consumers on their own
+threads, decoding every delivered frame; the cold pass encodes each
+(frame, tier) once, the warm pass republishes the same frame ids
 against the already-populated cache.
 
-Serving goes through the :class:`~repro.serve.shard.SessionRouter`, so
-the sweep carries a **shards** axis (``shards=1`` is the single-broker
-baseline) and an **encode_workers** axis (0 = in-process encodes).
-Delivery is pumped by the router's per-shard publisher threads — a
-small thread pool — not serially from the publishing thread, so what
-the numbers attribute to the broker is broker work, not the harness's
-own single-thread pump jitter.  Alongside aggregate fps each pass
+Serving goes through one :class:`~repro.serve.broker.SessionBroker`;
+the sweep's **encode_workers** axis hands it an
+:class:`~repro.serve.encode_pool.EncodePool` of that many worker
+processes (0 = in-process encodes).  Alongside aggregate fps each pass
 reports delivery-latency percentiles (publish→receipt, p50/p99 over
 all samples plus the worst per-viewer p99), which is where per-viewer
 jitter is actually visible.  At large viewer counts pass
@@ -26,11 +23,13 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
 from repro.devtools.waiting import wait_until
-from repro.serve.shard import SessionRouter
+from repro.serve.broker import SessionBroker
+from repro.serve.encode_pool import EncodePool
 from repro.serve.tiers import TierLadder
 
 __all__ = ["synthetic_frames", "run_fanout", "measure_fanout"]
@@ -140,11 +139,10 @@ def run_fanout(
     ladder: TierLadder | None = None,
     credit_limit: int = 8,
     drain_timeout: float = 10.0,
-    shards: int = 1,
     encode_workers: int = 0,
     audit_viewers: int | None = None,
 ) -> dict:
-    """One router run: cold pass then warm pass over the same frame ids.
+    """One broker run: cold pass then warm pass over the same frame ids.
 
     Returns a dict with per-pass delivered-frames/sec, delivery-latency
     percentiles, encode counts and cache hit ratios, plus the final
@@ -159,90 +157,86 @@ def run_fanout(
     result: dict = {
         "viewers": n_viewers,
         "frames": len(frames),
-        "shards": shards,
         "encode_workers": encode_workers,
         "audit_viewers": (
             n_viewers if audit_viewers is None
             else min(audit_viewers, n_viewers)
         ),
     }
-    # built inside the try so a failed join/drainer mid-construction
-    # still tears down the router and the drainers already running
+    # the pool and the broker are context-managed and the drainers are
+    # stopped in the finally, so a failed join/drainer mid-construction
+    # still tears down everything already running
     drainers: list[_Drainer] = []
-    router = SessionRouter(
-        shards=shards,
-        encode_workers=encode_workers,
-        ladder=ladder,
-        credit_limit=credit_limit,
-    )
-    try:
-        for i in range(n_viewers):
-            drainers.append(
-                _Drainer(
-                    router.join(f"v{i:03d}"),
-                    decode=audit_viewers is None or i < audit_viewers,
-                )
-            )
-        for label in ("cold", "warm"):
-            before = router.stats()
-            for d in drainers:
-                d.take()  # discard receipts from the previous pass
-            publish_t: dict[int, float] = {}
-            t0 = time.perf_counter()
-            for fid, image in enumerate(frames):
-                publish_t[fid] = time.perf_counter()
-                router.publish(image, time_step=fid, frame_id=fid)
-            router.drain(timeout=drain_timeout)
-            elapsed = time.perf_counter() - t0
-            stats = router.stats()
-            delivered = sum(
-                s.acks for s in stats.sessions.values()
-            ) - sum(s.acks for s in before.sessions.values())
-            # every ack precedes its receipt record by one list append;
-            # give the drainer threads a moment to finish writing them
-            try:
-                wait_until(
-                    lambda: sum(d.receipt_count() for d in drainers)
-                    >= delivered,
-                    timeout=2.0,
-                    message="fan-out receipt records",
-                )
-            except TimeoutError:
-                pass  # percentiles over what was recorded in time
-            per_viewer = [
-                [
-                    t - publish_t[fid]
-                    for fid, t in d.take()
-                    if fid in publish_t
-                ]
-                for d in drainers
-            ]
-            lookups = (stats.cache_hits - before.cache_hits) + (
-                stats.cache_misses - before.cache_misses
-            )
-            row = {
-                "elapsed_s": elapsed,
-                "delivered_frames": delivered,
-                "delivered_fps": delivered / elapsed if elapsed > 0 else 0.0,
-                "encodes": stats.encodes - before.encodes,
-                "cache_hit_ratio": (stats.cache_hits - before.cache_hits)
-                / lookups
-                if lookups
-                else 0.0,
-            }
-            row.update(_latency_stats(per_viewer))
-            result[label] = row
-        final = router.stats()
-        result["dropped_frames"] = final.total_frames_dropped
-        result["tier_transitions"] = final.total_transitions
-        if router.encode_pool is not None:
-            result["pool"] = router.encode_pool.stats_snapshot()
-    finally:
+    with (
+        EncodePool(encode_workers) if encode_workers > 0 else nullcontext()
+    ) as pool, SessionBroker(
+        ladder=ladder, credit_limit=credit_limit, encode_pool=pool
+    ) as broker:
         try:
+            for i in range(n_viewers):
+                drainers.append(
+                    _Drainer(
+                        broker.join(f"v{i:03d}"),
+                        decode=audit_viewers is None or i < audit_viewers,
+                    )
+                )
+            for label in ("cold", "warm"):
+                before = broker.stats()
+                for d in drainers:
+                    d.take()  # discard receipts from the previous pass
+                publish_t: dict[int, float] = {}
+                t0 = time.perf_counter()
+                for fid, image in enumerate(frames):
+                    publish_t[fid] = time.perf_counter()
+                    broker.publish(image, time_step=fid, frame_id=fid)
+                broker.drain(timeout=drain_timeout)
+                elapsed = time.perf_counter() - t0
+                stats = broker.stats()
+                delivered = sum(
+                    s.acks for s in stats.sessions.values()
+                ) - sum(s.acks for s in before.sessions.values())
+                # every ack precedes its receipt record by one list append;
+                # give the drainer threads a moment to finish writing them
+                try:
+                    wait_until(
+                        lambda: sum(d.receipt_count() for d in drainers)
+                        >= delivered,
+                        timeout=2.0,
+                        message="fan-out receipt records",
+                    )
+                except TimeoutError:
+                    pass  # percentiles over what was recorded in time
+                per_viewer = [
+                    [
+                        t - publish_t[fid]
+                        for fid, t in d.take()
+                        if fid in publish_t
+                    ]
+                    for d in drainers
+                ]
+                lookups = (stats.cache_hits - before.cache_hits) + (
+                    stats.cache_misses - before.cache_misses
+                )
+                row = {
+                    "elapsed_s": elapsed,
+                    "delivered_frames": delivered,
+                    "delivered_fps": delivered / elapsed if elapsed > 0 else 0.0,
+                    "encodes": stats.encodes - before.encodes,
+                    "cache_hit_ratio": (stats.cache_hits - before.cache_hits)
+                    / lookups
+                    if lookups
+                    else 0.0,
+                }
+                row.update(_latency_stats(per_viewer))
+                result[label] = row
+            final = broker.stats()
+            result["dropped_frames"] = final.total_frames_dropped
+            result["tier_transitions"] = final.total_transitions
+            if pool is not None:
+                result["pool"] = pool.stats_snapshot()
+        finally:
             for d in drainers:
                 d.stop()
-        finally:
-            router.close()
     return result
 
 

@@ -28,6 +28,7 @@ import time
 from repro.net.faults import FaultPlan
 from repro.net.transport import RetryPolicy
 from repro.serve.broker import SessionBroker
+from repro.serve.encode_pool import EncodePool
 from repro.serve.fanout import synthetic_frames
 from repro.serve.session import FrameDecodeError
 from repro.serve.tiers import TierLadder
@@ -126,9 +127,10 @@ class _ResilientViewer:
         self.handle.leave()
 
 
-def _teardown(viewers, relay_pool, broker) -> None:
+def _teardown(viewers, relay_pool, broker, pool=None) -> None:
     """Close every tier even when one close raises; the first failure
-    propagates only after the rest have been released."""
+    propagates only after the rest have been released.  The encode pool
+    closes last, after the broker that submits to it."""
     failures: list[BaseException] = []
     for v in viewers:
         try:
@@ -143,6 +145,11 @@ def _teardown(viewers, relay_pool, broker) -> None:
     if broker is not None:
         try:
             broker.close()
+        except BaseException as exc:
+            failures.append(exc)
+    if pool is not None:
+        try:
+            pool.close()
         except BaseException as exc:
             failures.append(exc)
     if failures:
@@ -163,7 +170,6 @@ def run_with_faults(
     reconnect: bool = True,
     drain_timeout: float = 10.0,
     relays: int = 0,
-    shards: int = 1,
     encode_workers: int = 0,
 ) -> dict:
     """One fault scenario end to end; returns its delivery report.
@@ -181,12 +187,8 @@ def run_with_faults(
     WAN weather.  Viewers rejoin *their relay* on a cut, exercising the
     relay's resume machinery instead of the broker's.
 
-    ``shards`` > 1 serves the scenario through a
-    :class:`~repro.serve.shard.SessionRouter` instead of a single
-    broker — session names route to their owning shard, and a rejoin
-    after a cut lands back on the shard holding the parked resume
-    state.  ``encode_workers`` > 0 adds the multi-process encode pool
-    under either topology.
+    ``encode_workers`` > 0 hands the broker a multi-process
+    :class:`~repro.serve.encode_pool.EncodePool` of that many workers.
     """
     frames = synthetic_frames(n_frames, size=size)
     common = dict(
@@ -198,18 +200,14 @@ def run_with_faults(
     )
     # every tier is built inside the try so a constructor failure in a
     # later tier still tears down the earlier ones
+    pool = None
     broker = None
     relay_pool: list = []
     viewers: list[_ResilientViewer] = []
     try:
-        if shards > 1 or encode_workers > 0:
-            from repro.serve.shard import SessionRouter
-
-            broker = SessionRouter(
-                shards=shards, encode_workers=encode_workers, **common
-            )
-        else:
-            broker = SessionBroker(**common)
+        if encode_workers > 0:
+            pool = EncodePool(encode_workers)
+        broker = SessionBroker(encode_pool=pool, **common)
         if relays > 0:
             # local import: repro.serve must stay importable without the
             # relay package (and this is the only serve -> relay edge)
@@ -256,7 +254,7 @@ def run_with_faults(
         for relay in relay_pool:
             session_stats.update(relay.session_stats())
     finally:
-        _teardown(viewers, relay_pool, broker)
+        _teardown(viewers, relay_pool, broker, pool)
 
     sessions = {}
     ratios = []
@@ -292,7 +290,6 @@ def run_with_faults(
         "n_frames": n_frames,
         "n_viewers": n_viewers,
         "relays": relays,
-        "shards": shards,
         "elapsed_s": round(elapsed, 3),
         "delivered_ratio": round(min(ratios), 4) if ratios else 0.0,
         "mean_delivered_ratio": round(sum(ratios) / len(ratios), 4)

@@ -84,44 +84,11 @@ class ServeStats:
     #: resumes that fell off the retained history window and were sent
     #: an explicit ``gap`` signal instead of a silent skip
     resume_gaps: int = 0
-    #: broker shards merged into this snapshot (1 = a single broker)
-    shards: int = 1
 
     @property
     def cache_hit_ratio(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-    @classmethod
-    def merge(cls, snapshots: list["ServeStats"]) -> "ServeStats":
-        """Aggregate per-shard snapshots into one router-wide view.
-
-        Every input must itself be an atomic snapshot (a shard's
-        ``stats()`` result) — merging live broker fields bare would
-        re-introduce exactly the torn reads the snapshot path exists to
-        prevent.  Counters are summed; ``frames_published`` takes the
-        max because the router offers each published frame to every
-        shard (a sum would multiply-count by the shard count); ratios
-        are recomputed from the summed counters by the properties, so a
-        shard with zero lookups can never divide the aggregate by zero.
-        """
-        merged = cls(shards=max(len(snapshots), 1))
-        for snap in snapshots:
-            merged.sessions.update(snap.sessions)
-            merged.frames_published = max(
-                merged.frames_published, snap.frames_published
-            )
-            merged.encodes += snap.encodes
-            merged.cache_hits += snap.cache_hits
-            merged.cache_misses += snap.cache_misses
-            merged.cache_evictions += snap.cache_evictions
-            merged.cache_bytes += snap.cache_bytes
-            merged.cache_entries += snap.cache_entries
-            merged.malformed_controls += snap.malformed_controls
-            merged.unknown_controls += snap.unknown_controls
-            merged.resumes += snap.resumes
-            merged.resume_gaps += snap.resume_gaps
-        return merged
 
     @property
     def total_frames_sent(self) -> int:
@@ -141,9 +108,8 @@ class ServeStats:
 
     def summary(self) -> str:
         """A human-readable operator report (the CLI prints this)."""
-        shard_note = f" across {self.shards} shards" if self.shards > 1 else ""
         lines = [
-            f"published {self.frames_published} frames{shard_note}, "
+            f"published {self.frames_published} frames, "
             f"{self.encodes} encodes, cache hit ratio "
             f"{self.cache_hit_ratio * 100:.1f}% "
             f"({self.cache_entries} entries, {self.cache_bytes} B); "

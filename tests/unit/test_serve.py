@@ -25,6 +25,16 @@ LOSSLESS_LADDER = TierLadder(
         QualityTier("skip", "rle", frame_stride=2),
     )
 )
+#: two lossless tiers, no stride: resume tests assert exact frame ids
+LOSSLESS = TierLadder(
+    (QualityTier("full", "lzo"), QualityTier("low", "rle"))
+)
+
+
+def _frames(n, size=16):
+    rng = np.random.default_rng(11)
+    return [rng.integers(0, 255, (size, size, 3), dtype=np.uint8)
+            for _ in range(n)]
 
 
 class TestFrameCache:
@@ -329,3 +339,53 @@ class TestBroker:
                        message="tier notification never reached the viewer")
             assert handle.current_tier in ("lite", "skip")
             handle.leave()
+
+
+class TestResumeGapSignal:
+    def _run_to_history_loss(self, broker):
+        """Publish past the retention window with a consuming viewer.
+
+        The broker's credit limit must cover all 12 frames: acks return
+        credits asynchronously (the session pump thread), so a tighter
+        limit would let a loaded machine drop a frame mid-setup.
+        """
+        frames = _frames(12)
+        handle = broker.join("v")
+        for fid, image in enumerate(frames):
+            broker.publish(image, time_step=fid, frame_id=fid)
+            assert handle.next_frame(timeout=5.0).frame_id == fid
+        broker.leave("v", resumable=True)
+        return frames
+
+    def test_resume_past_history_gets_explicit_gap(self):
+        with SessionBroker(
+            ladder=LOSSLESS, history_frames=4, credit_limit=16
+        ) as broker:
+            self._run_to_history_loss(broker)
+            # ids 0..7 were evicted; resuming from 0 is unrecoverable
+            handle = broker.join("v", resume_from=0)
+            frame = handle.next_frame(timeout=5.0)
+            assert frame.frame_id == 8  # oldest retained frame
+            assert handle.gaps == [(0, 8)]
+            assert broker.stats().resume_gaps == 1
+
+    def test_resume_inside_history_has_no_gap(self):
+        with SessionBroker(
+            ladder=LOSSLESS, history_frames=4, credit_limit=16
+        ) as broker:
+            self._run_to_history_loss(broker)
+            handle = broker.join("v", resume_from=10)
+            assert handle.next_frame(timeout=5.0).frame_id == 10
+            assert handle.gaps == []
+            assert broker.stats().resume_gaps == 0
+
+    def test_resume_beyond_newest_waits_without_gap(self):
+        with SessionBroker(
+            ladder=LOSSLESS, history_frames=4, credit_limit=16
+        ) as broker:
+            frames = self._run_to_history_loss(broker)
+            handle = broker.join("v", resume_from=12)
+            broker.publish(frames[0], time_step=12, frame_id=12)
+            assert handle.next_frame(timeout=5.0).frame_id == 12
+            assert handle.gaps == []
+            assert broker.stats().resume_gaps == 0
