@@ -216,45 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1234)
     p.set_defaults(func=cmd_relay_topology)
 
-    p = sub.add_parser(
-        "lint",
+    # `repro lint` hands its arguments to repro.devtools.lint.main,
+    # which owns the lint options (`repro lint --help` lists them)
+    sub.add_parser(
+        "lint", add_help=False,
         help="run the concurrency/protocol lint pass, the DT7xx lockset "
              "race analyzer, the DT8xx resource-lifecycle analyzer, and "
              "the DT9xx protocol-conformance analyzer "
              "(see docs/devtools.md)",
     )
-    p.add_argument("paths", nargs="*", default=["src", "tests"],
-                   help="files or directories to lint (default: src tests)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue and exit")
-    p.add_argument("--no-lockset", action="store_true",
-                   help="skip the DT7xx lockset analysis pass")
-    p.add_argument("--no-resourceflow", action="store_true",
-                   help="skip the DT8xx resource-lifecycle pass")
-    p.add_argument("--no-protoflow", action="store_true",
-                   help="skip the DT9xx protocol-conformance pass")
-    p.add_argument("--baseline", default=None,
-                   help="lockset baseline file (default: lockset_baseline.json)")
-    p.add_argument("--rf-baseline", default=None,
-                   help="resource-flow baseline file "
-                        "(default: resourceflow_baseline.json)")
-    p.add_argument("--pf-baseline", default=None,
-                   help="protocol-conformance baseline file "
-                        "(default: protoflow_baseline.json)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore the baselines and report everything")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baselines from current findings")
-    p.add_argument("--json", action="store_true",
-                   help="emit findings as machine-readable JSON")
-    p.add_argument("--sarif", default=None, metavar="FILE",
-                   help="also write the findings as SARIF 2.1.0 to FILE")
-    p.add_argument("--emit-proto-dot", default=None, metavar="FILE",
-                   help="write the protocol spec automata as Graphviz DOT "
-                        "to FILE and exit")
-    p.add_argument("--fail-on-stale", action="store_true",
-                   help="exit non-zero when a baseline has stale entries")
-    p.set_defaults(func=cmd_lint)
 
     return parser
 
@@ -594,42 +564,15 @@ def cmd_relay_topology(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.devtools import lint
-
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.no_lockset:
-        argv.append("--no-lockset")
-    if args.no_resourceflow:
-        argv.append("--no-resourceflow")
-    if args.no_protoflow:
-        argv.append("--no-protoflow")
-    if args.baseline is not None:
-        argv.extend(["--baseline", args.baseline])
-    if args.rf_baseline is not None:
-        argv.extend(["--rf-baseline", args.rf_baseline])
-    if args.pf_baseline is not None:
-        argv.extend(["--pf-baseline", args.pf_baseline])
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.json:
-        argv.append("--json")
-    if args.sarif is not None:
-        argv.extend(["--sarif", args.sarif])
-    if args.emit_proto_dot is not None:
-        argv.extend(["--emit-proto-dot", args.emit_proto_dot])
-    if args.fail_on_stale:
-        argv.append("--fail-on-stale")
-    return lint.main(argv)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.devtools import lint
+
+        return lint.main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

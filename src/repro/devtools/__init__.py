@@ -7,14 +7,17 @@ hides deadlocks, thread leaks, and silently-swallowed errors until they
 bite under load.  This package keeps that debt from accumulating:
 
 - :mod:`repro.devtools.lint` — an AST-based checker with repo-specific
-  rules (``repro lint`` / ``make lint`` run it over ``src`` and
-  ``tests``; a new finding fails CI);
+  rules, and the one driver of every static pass (``repro lint`` /
+  ``make lint`` run it over ``src`` and ``tests``; a new finding fails
+  CI);
 - :mod:`repro.devtools.lockset` — an interprocedural static lockset
   race analyzer (Eraser/RacerD style): infers which lock guards each
   ``self._*`` field and reports inconsistent locksets, bare writes to
   annotated fields, unannotated shared mutable state on threaded
-  classes, and lock-scope leaks (rules ``DT701``–``DT704``, run as part
-  of ``repro lint`` behind a committed baseline);
+  classes, and lock-scope leaks (rules ``DT701``–``DT704``, run by
+  ``repro lint`` behind the committed ``lint_baseline.json``), next to
+  the DT8xx :mod:`~repro.devtools.resource_flow` and DT9xx
+  :mod:`~repro.devtools.protoflow` analyzers;
 - :mod:`repro.devtools.locktrace` — instrumented lock wrappers that
   record the lock-acquisition graph at runtime, detect lock-order
   inversions and locks held across blocking channel operations, plus

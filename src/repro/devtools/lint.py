@@ -1,4 +1,4 @@
-"""AST-based lint pass with repo-specific concurrency/protocol rules.
+"""The one lint driver: repo-specific rules plus the three deep analyzers.
 
 The general-purpose linters this repo could run do not know its
 conventions: that every swallowed exception must be counted (the
@@ -30,23 +30,23 @@ rule        meaning
 ``DT601``   mutable default argument (list/dict/set literal or call)
 ==========  ============================================================
 
-The CLI also runs the ``DT701``–``DT704`` static lockset race analyzer
-from :mod:`repro.devtools.lockset` (guarded-by inference over
-``self._*`` fields), the ``DT801``–``DT804`` resource-lifecycle
-analyzer from :mod:`repro.devtools.resource_flow` (exception-edge leak,
-double-close, use-after-close, close-graph completeness), and the
-``DT901``–``DT904`` protocol-conformance analyzer from
-:mod:`repro.devtools.protoflow` (wire-schema cross-checking, endpoint
-automata vs :mod:`repro.daemon.protocol_spec`), each filtered through
-its own committed baseline of grandfathered findings; see those
-modules and ``docs/devtools.md`` for the rule catalogues and the
-``--baseline`` / ``--rf-baseline`` / ``--pf-baseline`` /
-``--no-baseline`` / ``--update-baseline`` workflow.  ``--json`` emits
-the combined findings machine-readably; ``--sarif FILE`` additionally
-writes them as SARIF 2.1.0 for code-scanning upload;
-``--emit-proto-dot FILE`` renders the protocol spec automata to
-Graphviz and exits; ``--fail-on-stale`` turns stale baseline entries
-into a failing exit.
+It is also the only driver of the deep analyzers: the ``DT701``–``DT704``
+lockset race analyzer (:mod:`repro.devtools.lockset`), the
+``DT801``–``DT804`` resource-lifecycle analyzer
+(:mod:`repro.devtools.resource_flow`) and the ``DT901``–``DT904``
+protocol-conformance analyzer (:mod:`repro.devtools.protoflow`).  It
+walks the paths once and reads, parses and tokenizes each file once
+(:class:`SourceFile`); every pass is a plain function over those files,
+and the ``# lint: disable=`` filter is applied here, in one place.  The
+deep analyzers skip ``tests/``, ``benchmarks/`` and ``examples/`` in
+tree walks; files named explicitly are always analyzed.  Their findings
+carry a line-independent key, and grandfathered ones live in the one
+committed ``lint_baseline.json`` (``--baseline`` / ``--no-baseline`` /
+``--update-baseline``).  ``--json`` emits the findings machine-readably;
+``--sarif FILE`` additionally writes them as SARIF 2.1.0 for
+code-scanning upload; ``--emit-proto-dot FILE`` renders the protocol
+spec automata to Graphviz and exits; ``--fail-on-stale`` turns stale
+baseline entries into a failing exit.  See ``docs/devtools.md``.
 
 Escape hatch: append ``# lint: disable=DT201`` (comma-separated ids, or
 ``all``) to the offending line.  Run with ``repro lint [paths...]`` or
@@ -58,13 +58,24 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import json
 import re
 import sys
 import tokenize
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-__all__ = ["Finding", "RULES", "lint_source", "lint_paths", "main"]
+__all__ = [
+    "Baseline",
+    "Finding",
+    "RULES",
+    "SourceFile",
+    "lint_source",
+    "lint_paths",
+    "main",
+]
 
 RULES: dict[str, str] = {
     "DT101": "broad except without re-raise or accounting counter",
@@ -75,6 +86,10 @@ RULES: dict[str, str] = {
     "DT502": "tag/kind dispatch chain without an else fallback",
     "DT601": "mutable default argument",
 }
+
+#: baseline of grandfathered DT7xx-DT9xx findings, resolved against the
+#: working directory (the repo root for ``make``/CI invocations)
+DEFAULT_BASELINE = "lint_baseline.json"
 
 #: modules whose behaviour must be a pure function of their inputs and
 #: seeds: the fault injector (reproducible WAN traces), the codecs
@@ -90,6 +105,13 @@ DETERMINISTIC_PATH_MARKERS = (
 
 #: directories never linted (fixture corpus deliberately violates rules)
 EXCLUDED_DIR_NAMES = {"lint_fixtures", "__pycache__", ".git", ".pytest_cache"}
+
+#: directories the deep analyzers also prune from tree walks: test,
+#: bench and example code spawns threads and opens resources
+#: deliberately and is exercised under the *runtime* tracer instead
+DEEP_SKIPPED_DIR_NAMES = frozenset(
+    {"tests", "benchmarks", "examples"} | EXCLUDED_DIR_NAMES
+)
 
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -122,83 +144,160 @@ _MUTABLE_CTORS = {
 _ACCOUNTING_HINTS = ("count", "note", "record", "reject", "log")
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One rule violation at one source location."""
-
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def __str__(self) -> str:  # "path:line: DTxxx message" (editor-clickable)
-        return f"{self.path}:{self.line}: {self.rule} {self.message}"
-
-
 def _control_tags() -> frozenset[str]:
     from repro.daemon.protocol import CONTROL_TAGS
 
     return CONTROL_TAGS
 
 
-def _disabled_lines(source: str) -> dict[int, set[str]]:
-    """line -> rule ids disabled there, parsed from real comment tokens."""
-    disabled: dict[int, set[str]] = {}
+def baseline_path(path: str) -> str:
+    """Stable path form for baseline keys: relative to the package root
+    when possible, so absolute vs relative invocations agree."""
+    posix = Path(path).as_posix()
+    idx = posix.rfind("src/repro/")
+    if idx >= 0:
+        return posix[idx + len("src/"):]
+    return posix
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation at one source location.  Deep-analyzer
+    findings also carry a line-independent baseline ``key``."""
+
+    path: str
+    line: int
+    rule: str
+    message: str
+    key: str | None = None
+
+    @classmethod
+    def keyed(cls, path: str, line: int, rule: str, message: str,
+              context: str) -> "Finding":
+        """A baselinable finding keyed ``repro/<module>:RULE:<context>``."""
+        return cls(path, line, rule, message,
+                   key=f"{baseline_path(path)}:{rule}:{context}")
+
+    def __str__(self) -> str:  # "path:line: DTxxx message" (editor-clickable)
+        return f"{self.path}:{self.line}: {self.rule} {self.message}"
+
+
+@dataclass
+class Baseline:
+    """Grandfathered findings: baseline key -> written justification."""
+
+    entries: dict[str, str]
+
+    COMMENT = (
+        "Grandfathered DT7xx-DT9xx analyzer findings; every entry needs a "
+        "written justification. Regenerate with "
+        "`repro lint --update-baseline` (see docs/devtools.md)."
+    )
+
+    @classmethod
+    def load(cls, path: Path) -> "Baseline":
+        """The committed baseline; empty when the file is absent."""
+        if not path.is_file():
+            return cls(entries={})
+        data = json.loads(path.read_text())
+        return cls(entries=dict(data.get("grandfathered", {})))
+
+    def filter(
+        self, findings: list[Finding]
+    ) -> tuple[list[Finding], list[str]]:
+        """Split findings into (new, baselined-keys-that-matched)."""
+        matched = [f.key for f in findings if f.key in self.entries]
+        fresh = [f for f in findings if f.key not in self.entries]
+        return fresh, matched
+
+    def stale_keys(self, findings: list[Finding]) -> list[str]:
+        """Baseline entries that no longer fire (candidates to drop)."""
+        live = {f.key for f in findings}
+        return sorted(k for k in self.entries if k not in live)
+
+    @classmethod
+    def write(cls, path: Path, findings: list[Finding],
+              previous: "Baseline | None" = None) -> None:
+        """Write the keyed findings, keeping surviving justifications."""
+        prev = previous.entries if previous is not None else {}
+        keyed = sorted((f for f in findings if f.key is not None),
+                       key=lambda f: f.key)
+        payload = {
+            "comment": cls.COMMENT,
+            "grandfathered": {
+                f.key: prev.get(f.key,
+                                "TODO: justify this entry or fix the bug")
+                for f in keyed
+            },
+        }
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+# -- one read/parse/tokenize per file -----------------------------------------
+
+
+def _comments(source: str) -> dict[int, str]:
+    """line -> text of its comment token (docstrings excluded)."""
+    comments: dict[int, str] = {}
     try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            m = _PRAGMA_RE.search(tok.string)
-            if m:
-                ids = {part.strip().upper() for part in m.group(1).split(",")}
-                disabled.setdefault(tok.start[0], set()).update(ids)
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                comments[tok.start[0]] = tok.string
     except tokenize.TokenError:
         pass  # syntax trouble surfaces as the ast.parse error instead
-    return disabled
+    return comments
 
 
-class _Analyzer:
-    """One file's lint pass: builds parent links, resolves import
-    aliases to canonical dotted names, then applies every rule."""
+def _aliases(tree: ast.Module) -> dict[str, str]:
+    """Local name -> canonical dotted name, from the file's imports."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    aliases[a.asname] = a.name
+                else:  # `import x.y` binds the root name `x`
+                    root = a.name.split(".")[0]
+                    aliases[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+    # conventional alias even without an import statement in scope
+    aliases.setdefault("np", "numpy")
+    return aliases
 
-    def __init__(self, tree: ast.Module, path: str,
-                 deterministic: bool | None = None):
-        self.tree = tree
+
+class SourceFile:
+    """One ``.py`` file as every pass sees it: read, ``ast.parse``d and
+    tokenized once, with import aliases and pragmas resolved."""
+
+    def __init__(self, source: str, path: str = "<string>"):
         self.path = path
-        self.findings: list[Finding] = []
-        self.parents: dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                self.parents[child] = node
-        self.aliases = self._collect_aliases()
-        if deterministic is None:
-            deterministic = any(
-                marker in Path(path).as_posix()
-                for marker in DETERMINISTIC_PATH_MARKERS
-            )
-        self.deterministic = deterministic
+        self.tree = ast.parse(source, filename=path)
+        #: line -> comment text; the passes read their annotations here
+        self.comments = _comments(source)
+        self.aliases = _aliases(self.tree)
+        self._disabled: dict[int, set[str]] = {}
+        for line, text in self.comments.items():
+            m = _PRAGMA_RE.search(text)
+            if m:
+                self._disabled[line] = {
+                    part.strip().upper() for part in m.group(1).split(",")
+                }
 
-    # -- name resolution -----------------------------------------------------
+    @classmethod
+    def read(cls, path: Path) -> "SourceFile":
+        return cls(path.read_text(), str(path))
 
-    def _collect_aliases(self) -> dict[str, str]:
-        aliases: dict[str, str] = {}
+    @cached_property
+    def parents(self) -> dict[ast.AST, ast.AST]:
+        parents: dict[ast.AST, ast.AST] = {}
         for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.asname:
-                        aliases[a.asname] = a.name
-                    else:  # `import x.y` binds the root name `x`
-                        root = a.name.split(".")[0]
-                        aliases[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for a in node.names:
-                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-        # conventional alias even without an import statement in scope
-        aliases.setdefault("np", "numpy")
-        return aliases
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+        return parents
 
-    def _dotted(self, node: ast.AST) -> str | None:
+    def dotted(self, node: ast.AST) -> str | None:
         """Canonical dotted name of a Name/Attribute chain, or None."""
         parts: list[str] = []
         while isinstance(node, ast.Attribute):
@@ -206,9 +305,62 @@ class _Analyzer:
             node = node.value
         if not isinstance(node, ast.Name):
             return None
-        root = self.aliases.get(node.id, node.id)
-        parts.append(root)
+        parts.append(self.aliases.get(node.id, node.id))
         return ".".join(reversed(parts))
+
+    def suppresses(self, finding: Finding) -> bool:
+        """Whether a ``# lint: disable=`` pragma covers ``finding``."""
+        ids = self._disabled.get(finding.line, ())
+        return finding.rule in ids or "ALL" in ids
+
+
+def iter_python_files(paths):
+    """``(path, deep)`` for every ``.py`` under ``paths``: ``deep`` says
+    whether the DT7xx-DT9xx analyzers see it too.  Explicitly named files
+    are always linted and analyzed."""
+    for raw in paths:
+        p = Path(raw)
+        if p.is_file() and p.suffix == ".py":
+            yield p, True
+        elif p.is_dir():
+            for sub in sorted(p.rglob("*.py")):
+                parts = set(sub.parts)
+                if not EXCLUDED_DIR_NAMES & parts:
+                    yield sub, not DEEP_SKIPPED_DIR_NAMES & parts
+
+
+def deep_files(paths) -> list[SourceFile]:
+    """The files under ``paths`` in the deep analyzers' scope."""
+    return [SourceFile.read(p) for p, deep in iter_python_files(paths)
+            if deep]
+
+
+def unsuppressed(findings: list[Finding],
+                 files: list[SourceFile]) -> list[Finding]:
+    """The one ``# lint: disable=`` filter: ``findings`` minus the
+    pragma-disabled ones, sorted by (path, line, rule).  The sort is
+    stable, so each pass's own order breaks ties."""
+    by_path = {src.path: src for src in files}
+    kept = [f for f in findings if not by_path[f.path].suppresses(f)]
+    kept.sort(key=lambda f: (f.path, f.line, f.rule))
+    return kept
+
+
+class _Analyzer:
+    """One file's DT1xx-DT6xx pass over its shared parse."""
+
+    def __init__(self, src: SourceFile, deterministic: bool | None = None):
+        self.tree = src.tree
+        self.path = src.path
+        self.parents = src.parents
+        self.dotted = src.dotted
+        self.findings: list[Finding] = []
+        if deterministic is None:
+            deterministic = any(
+                marker in Path(src.path).as_posix()
+                for marker in DETERMINISTIC_PATH_MARKERS
+            )
+        self.deterministic = deterministic
 
     def _report(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
@@ -249,7 +401,7 @@ class _Analyzer:
             return True  # bare except
         if isinstance(node, ast.Tuple):
             return any(self._is_broad_type(el) for el in node.elts)
-        return self._dotted(node) in ("Exception", "BaseException")
+        return self.dotted(node) in ("Exception", "BaseException")
 
     def _accounts_for_error(self, handler: ast.ExceptHandler) -> bool:
         for node in ast.walk(handler):
@@ -282,7 +434,7 @@ class _Analyzer:
     # DT201 ------------------------------------------------------------------
 
     def _check_sleep_poll(self, node: ast.Call) -> None:
-        if self._dotted(node.func) != "time.sleep":
+        if self.dotted(node.func) != "time.sleep":
             return
         cur = self.parents.get(node)
         while cur is not None and not isinstance(
@@ -301,7 +453,7 @@ class _Analyzer:
     # DT301 ------------------------------------------------------------------
 
     def _check_thread_join(self, node: ast.Call) -> None:
-        if self._dotted(node.func) != "threading.Thread":
+        if self.dotted(node.func) != "threading.Thread":
             return
         if any(kw.arg == "daemon" for kw in node.keywords):
             return
@@ -325,7 +477,7 @@ class _Analyzer:
     # DT401 ------------------------------------------------------------------
 
     def _check_wallclock(self, node: ast.Call) -> None:
-        name = self._dotted(node.func)
+        name = self.dotted(node.func)
         if name is None:
             return
         offending = (
@@ -464,7 +616,7 @@ class _Analyzer:
                  ast.SetComp),
             ) or (
                 isinstance(default, ast.Call)
-                and self._dotted(default.func) in _MUTABLE_CTORS
+                and self.dotted(default.func) in _MUTABLE_CTORS
             )
             if mutable:
                 self._report(
@@ -475,6 +627,13 @@ class _Analyzer:
                 )
 
 
+def check(files: list[SourceFile],
+          deterministic: bool | None = None) -> list[Finding]:
+    """The DT1xx-DT6xx pass over every file, pragmas not yet applied."""
+    return [f for src in files
+            for f in _Analyzer(src, deterministic=deterministic).run()]
+
+
 def lint_source(source: str, path: str = "<string>",
                 deterministic: bool | None = None) -> list[Finding]:
     """Lint one source string; returns findings not pragma-disabled.
@@ -482,36 +641,14 @@ def lint_source(source: str, path: str = "<string>",
     ``deterministic`` forces DT401 on/off; ``None`` derives it from
     ``path`` against :data:`DETERMINISTIC_PATH_MARKERS`.
     """
-    tree = ast.parse(source, filename=path)
-    disabled = _disabled_lines(source)
-    findings = _Analyzer(tree, path, deterministic=deterministic).run()
-    kept = []
-    for f in findings:
-        ids = disabled.get(f.line, set())
-        if f.rule in ids or "ALL" in ids:
-            continue
-        kept.append(f)
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
-
-
-def _iter_python_files(paths: list[str | Path]):
-    for raw in paths:
-        p = Path(raw)
-        if p.is_file() and p.suffix == ".py":
-            yield p
-        elif p.is_dir():
-            for sub in sorted(p.rglob("*.py")):
-                if not EXCLUDED_DIR_NAMES.intersection(sub.parts):
-                    yield sub
+    files = [SourceFile(source, path)]
+    return unsuppressed(check(files, deterministic), files)
 
 
 def lint_paths(paths: list[str | Path]) -> list[Finding]:
     """Lint every ``.py`` under ``paths`` (fixture corpora excluded)."""
-    findings: list[Finding] = []
-    for path in _iter_python_files(paths):
-        findings.extend(lint_source(path.read_text(), str(path)))
-    return findings
+    files = [SourceFile.read(p) for p, _ in iter_python_files(paths)]
+    return unsuppressed(check(files), files)
 
 
 def _sarif_report(findings, catalogue) -> dict:
@@ -551,7 +688,7 @@ def _sarif_report(findings, catalogue) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     # imported lazily: the analyzers import this module for
-    # Finding/pragmas
+    # Finding/SourceFile
     from repro.devtools import lockset, protoflow, resource_flow
 
     parser = argparse.ArgumentParser(
@@ -565,29 +702,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="files or directories to lint (default: src tests)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--no-lockset", action="store_true",
-                        help="skip the DT7xx lockset analysis pass")
-    parser.add_argument("--no-resourceflow", action="store_true",
-                        help="skip the DT8xx resource-lifecycle pass")
-    parser.add_argument("--no-protoflow", action="store_true",
-                        help="skip the DT9xx protocol-conformance pass")
-    parser.add_argument("--baseline", default=lockset.DEFAULT_BASELINE,
-                        help="baseline file of grandfathered lockset findings "
-                             f"(default: {lockset.DEFAULT_BASELINE})")
-    parser.add_argument("--rf-baseline",
-                        default=resource_flow.DEFAULT_BASELINE,
-                        help="baseline file of grandfathered resource-flow "
-                             "findings "
-                             f"(default: {resource_flow.DEFAULT_BASELINE})")
-    parser.add_argument("--pf-baseline",
-                        default=protoflow.DEFAULT_BASELINE,
-                        help="baseline file of grandfathered protocol-"
-                             "conformance findings "
-                             f"(default: {protoflow.DEFAULT_BASELINE})")
+    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
+                        help="baseline file of grandfathered analyzer "
+                             f"findings (default: {DEFAULT_BASELINE})")
     parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baselines and report everything")
+                        help="ignore the baseline and report everything")
     parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baselines from current findings "
+                        help="rewrite the baseline from current findings "
                              "(kept justifications survive) and exit")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as machine-readable JSON")
@@ -598,14 +719,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the protocol spec automata as Graphviz "
                              "DOT to FILE and exit")
     parser.add_argument("--fail-on-stale", action="store_true",
-                        help="exit non-zero when a baseline contains entries "
-                             "that no longer fire")
+                        help="exit non-zero when the baseline contains "
+                             "entries that no longer fire")
     args = parser.parse_args(argv)
+    catalogue = {**RULES, **lockset.LOCKSET_RULES,
+                 **resource_flow.RESOURCE_RULES, **protoflow.PROTOFLOW_RULES}
     if args.list_rules:
-        catalogue = dict(RULES)
-        catalogue.update(lockset.LOCKSET_RULES)
-        catalogue.update(resource_flow.RESOURCE_RULES)
-        catalogue.update(protoflow.PROTOFLOW_RULES)
         for rule_id in sorted(catalogue):
             print(f"{rule_id}  {catalogue[rule_id]}")
         return 0
@@ -613,115 +732,61 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.emit_proto_dot).write_text(protoflow.render_dot())
         print(f"wrote {args.emit_proto_dot}")
         return 0
-    if args.update_baseline and args.no_lockset and args.no_resourceflow \
-            and args.no_protoflow:
-        parser.error("--update-baseline requires at least one analyzer "
-                     "pass (drop --no-lockset / --no-resourceflow / "
-                     "--no-protoflow)")
 
-    passes = []  # (label, fresh findings, matched count, stale keys)
-    if not args.no_lockset:
-        raw = lockset.analyze_paths(args.paths)
-        baseline = lockset.load_baseline(args.baseline,
-                                         disabled=args.no_baseline)
-        if args.update_baseline:
-            lockset.Baseline.write(Path(args.baseline), raw,
-                                   previous=baseline)
-            print(f"wrote {args.baseline}: {len(raw)} grandfathered "
-                  f"finding(s)")
-        else:
-            fresh, matched = baseline.filter(raw)
-            passes.append(("lockset", list(fresh), len(matched),
-                           baseline.stale_keys(raw)))
-    if not args.no_resourceflow:
-        raw = resource_flow.analyze_paths(args.paths)
-        baseline = resource_flow.load_baseline(args.rf_baseline,
-                                               disabled=args.no_baseline)
-        if args.update_baseline:
-            lockset.Baseline.write(Path(args.rf_baseline), raw,
-                                   previous=baseline,
-                                   comment=resource_flow.BASELINE_COMMENT)
-            print(f"wrote {args.rf_baseline}: {len(raw)} grandfathered "
-                  f"finding(s)")
-        else:
-            fresh, matched = baseline.filter(raw)
-            passes.append(("resourceflow", list(fresh), len(matched),
-                           baseline.stale_keys(raw)))
-    if not args.no_protoflow:
-        raw = protoflow.analyze_paths(args.paths)
-        baseline = protoflow.load_baseline(args.pf_baseline,
-                                           disabled=args.no_baseline)
-        if args.update_baseline:
-            lockset.Baseline.write(Path(args.pf_baseline), raw,
-                                   previous=baseline,
-                                   comment=protoflow.BASELINE_COMMENT)
-            print(f"wrote {args.pf_baseline}: {len(raw)} grandfathered "
-                  f"finding(s)")
-        else:
-            fresh, matched = baseline.filter(raw)
-            passes.append(("protoflow", list(fresh), len(matched),
-                           baseline.stale_keys(raw)))
+    files: list[SourceFile] = []
+    deep: list[SourceFile] = []
+    for path, in_deep_scope in iter_python_files(args.paths):
+        files.append(SourceFile.read(path))
+        if in_deep_scope:
+            deep.append(files[-1])
+    raw = unsuppressed(check(files) + lockset.check(deep)
+                       + resource_flow.check(deep) + protoflow.check(deep),
+                       files)
+    baseline = (Baseline(entries={}) if args.no_baseline
+                else Baseline.load(Path(args.baseline)))
     if args.update_baseline:
+        Baseline.write(Path(args.baseline), raw, previous=baseline)
+        n_keyed = sum(1 for f in raw if f.key is not None)
+        print(f"wrote {args.baseline}: {n_keyed} grandfathered finding(s)")
         return 0
 
-    findings = lint_paths(args.paths)
-    for _, fresh, _, _ in passes:
-        findings.extend(fresh)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    baselined = {label: matched for label, _, matched, _ in passes}
-    stale = {label: keys for label, _, _, keys in passes if keys}
-    n_files = sum(1 for _ in _iter_python_files(args.paths))
-
-    stale_fails = bool(stale) and args.fail_on_stale \
-        and not args.no_baseline
+    findings, matched = baseline.filter(raw)
+    baselined = Counter(f.rule for f in raw if f.key in baseline.entries)
+    stale = baseline.stale_keys(raw)
+    stale_fails = bool(stale) and args.fail_on_stale
 
     if args.sarif:
-        import json as _json
-
-        catalogue = dict(RULES)
-        catalogue.update(lockset.LOCKSET_RULES)
-        catalogue.update(resource_flow.RESOURCE_RULES)
-        catalogue.update(protoflow.PROTOFLOW_RULES)
         Path(args.sarif).write_text(
-            _json.dumps(_sarif_report(findings, catalogue), indent=2)
-            + "\n")
+            json.dumps(_sarif_report(findings, catalogue), indent=2) + "\n")
 
     if args.json:
-        counts: dict[str, int] = {}
-        for f in findings:
-            counts[f.rule] = counts.get(f.rule, 0) + 1
-        import json as _json
-
-        print(_json.dumps({
+        print(json.dumps({
             "findings": [
                 {"file": f.path, "line": f.line, "rule": f.rule,
                  "message": f.message}
                 for f in findings
             ],
-            "counts": counts,
-            "files": n_files,
-            "baselined": baselined,
+            "counts": dict(Counter(f.rule for f in findings)),
+            "files": len(files),
+            "baselined": dict(sorted(baselined.items())),
             "stale": stale,
         }, indent=2))
         return 1 if findings or stale_fails else 0
 
     for f in findings:
         print(f)
-    if not args.no_baseline:
-        for label, keys in stale.items():
-            print(f"note: stale {label} baseline entrie(s) no longer "
-                  f"fire: " + ", ".join(keys))
-    total_baselined = sum(baselined.values())
-    suffix = (f" ({total_baselined} analyzer finding(s) baselined)"
-              if total_baselined else "")
+    if stale:
+        print("note: stale baseline entrie(s) no longer fire: "
+              + ", ".join(stale))
+    suffix = f", {len(matched)} baselined" if matched else ""
     if findings:
-        print(f"\n{len(findings)} finding(s) in {n_files} file(s){suffix}")
+        print(f"\n{len(findings)} finding(s) in {len(files)} file(s){suffix}")
         return 1
     if stale_fails:
-        print(f"stale baseline entries present (see notes above); "
-              f"regenerate with --update-baseline")
+        print("stale baseline entries present (see notes above); "
+              "regenerate with --update-baseline")
         return 1
-    print(f"clean: {n_files} file(s), 0 findings{suffix}")
+    print(f"clean: {len(files)} file(s), 0 findings{suffix}")
     return 0
 
 

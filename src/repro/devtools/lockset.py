@@ -45,41 +45,29 @@ The line-scoped ``# lint: disable=DT701`` pragma from
 
 Baseline
 --------
-Grandfathered findings live in a committed JSON baseline (default
-``lockset_baseline.json`` at the repo root) keyed by
-``path:rule:Class.field`` — line-number independent, so unrelated edits
-do not churn it.  Every entry carries a written justification.  CI runs
-the analyzer with the baseline and fails on any *new* finding; use
-``--update-baseline`` to regenerate the file (then justify or fix every
-entry) and ``--no-baseline`` to see the unfiltered report.
+Grandfathered findings live in the committed ``lint_baseline.json``
+shared by the deep analyzers, keyed by ``path:rule:Class.field`` —
+line-number independent, so unrelated edits do not churn it.  Every
+entry carries a written justification.
 
-Run with ``make analyze``, ``python -m repro.devtools.lockset [paths]``,
-or as part of ``repro lint`` / ``make lint``.
+Part of ``repro lint`` / ``make lint``, whose driver reads and parses
+each file once and hands it to :func:`check`.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import io
-import json
 import re
-import sys
-import tokenize
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.devtools.lint import EXCLUDED_DIR_NAMES, Finding, _disabled_lines
+from repro.devtools.lint import Finding, SourceFile, deep_files, unsuppressed
 
 __all__ = [
     "LOCKSET_RULES",
-    "DEFAULT_BASELINE",
     "guarded_by",
-    "LocksetFinding",
-    "Baseline",
     "analyze_source",
     "analyze_paths",
-    "main",
+    "check",
 ]
 
 LOCKSET_RULES: dict[str, str] = {
@@ -88,17 +76,6 @@ LOCKSET_RULES: dict[str, str] = {
     "DT703": "unannotated shared mutable field on a threaded class",
     "DT704": "lock acquired but not released on every path",
 }
-
-#: default baseline filename, resolved against the working directory
-#: (the repo root for ``make``/CI invocations)
-DEFAULT_BASELINE = "lockset_baseline.json"
-
-#: directory names pruned from tree-wide analysis: test/bench/example
-#: code spawns threads deliberately and is exercised under the *runtime*
-#: tracer instead.  Explicitly named files are always analyzed.
-SKIPPED_TREE_PARTS = frozenset(
-    {"tests", "benchmarks", "examples"} | EXCLUDED_DIR_NAMES
-)
 
 _LOCK_CTORS = {"threading.Lock", "threading.RLock", "threading.Condition"}
 _THREAD_CTOR = "threading.Thread"
@@ -134,76 +111,6 @@ def guarded_by(*locks: str):
         return fn
 
     return mark
-
-
-class LocksetFinding(Finding):
-    """A DT7xx finding plus its line-independent baseline key."""
-
-    def __init__(self, path: str, line: int, rule: str, message: str,
-                 key: str):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "key", key)
-
-
-def _baseline_path(path: str) -> str:
-    """Stable path form for baseline keys: relative to the package root
-    when possible, so absolute vs relative invocations agree."""
-    posix = Path(path).as_posix()
-    idx = posix.rfind("src/repro/")
-    if idx >= 0:
-        return posix[idx + len("src/"):]
-    return posix
-
-
-@dataclass
-class Baseline:
-    """Grandfathered findings: baseline key -> written justification."""
-
-    entries: dict[str, str]
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(path.read_text())
-        return cls(entries=dict(data.get("grandfathered", {})))
-
-    @classmethod
-    def empty(cls) -> "Baseline":
-        return cls(entries={})
-
-    def filter(
-        self, findings: list[LocksetFinding]
-    ) -> tuple[list[LocksetFinding], list[str]]:
-        """Split findings into (new, baselined-keys-that-matched)."""
-        matched = [f.key for f in findings if f.key in self.entries]
-        fresh = [f for f in findings if f.key not in self.entries]
-        return fresh, matched
-
-    def stale_keys(self, findings: list[LocksetFinding]) -> list[str]:
-        """Baseline entries that no longer fire (candidates to drop)."""
-        live = {f.key for f in findings}
-        return sorted(k for k in self.entries if k not in live)
-
-    @staticmethod
-    def write(path: Path, findings: list[LocksetFinding],
-              previous: "Baseline | None" = None,
-              comment: str | None = None) -> None:
-        prev = previous.entries if previous is not None else {}
-        grandfathered = {
-            f.key: prev.get(f.key, "TODO: justify this entry or fix the bug")
-            for f in sorted(findings, key=lambda f: f.key)
-        }
-        payload = {
-            "comment": comment if comment is not None else (
-                "Grandfathered DT7xx lockset findings; every entry needs a "
-                "written justification. Regenerate with "
-                "`repro lint --update-baseline` (see docs/devtools.md)."
-            ),
-            "grandfathered": grandfathered,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
 # -- per-method simulation ----------------------------------------------------
@@ -459,7 +366,7 @@ class _ClassScan:
     def __init__(self, module: "_ModuleScan", node: ast.ClassDef):
         self.module = module
         self.node = node
-        self.findings: list[LocksetFinding] = []
+        self.findings: list[Finding] = []
         self.lock_fields: set[str] = set()
         self.method_names: set[str] = set()
         self.methods: dict[str, _MethodInfo] = {}
@@ -476,13 +383,9 @@ class _ClassScan:
         self._pending_nested: list[tuple[str, ast.AST]] = []
 
     def report(self, line: int, rule: str, context: str, message: str) -> None:
-        key = (f"{_baseline_path(self.module.path)}:{rule}:"
-               f"{self.node.name}.{context}")
-        self.findings.append(
-            LocksetFinding(path=self.module.path, line=line, rule=rule,
-                           message=f"{self.node.name}.{context}: {message}",
-                           key=key)
-        )
+        where = f"{self.node.name}.{context}"
+        self.findings.append(Finding.keyed(
+            self.module.path, line, rule, f"{where}: {message}", where))
 
     def add_nested(self, name: str, func) -> None:
         self._pending_nested.append((name, func))
@@ -691,7 +594,7 @@ class _ClassScan:
 
     # -- rules ----------------------------------------------------------------
 
-    def run(self) -> list[LocksetFinding]:
+    def run(self) -> list[Finding]:
         self._discover()
         self._simulate()
         entry = self._entry_locksets()
@@ -823,63 +726,25 @@ class _ClassScan:
                  f"'# guarded-by: none' with a comment saying why)")
 
 
-# -- per-module driver --------------------------------------------------------
+# -- per-module scan --------------------------------------------------------
 
 
 class _ModuleScan:
-    """One file: import aliases, guard comments, parent links, classes."""
+    """One file: guard comments, then every class."""
 
-    def __init__(self, tree: ast.Module, path: str, source: str):
-        self.tree = tree
-        self.path = path
-        self.parents: dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                self.parents[child] = node
-        self.aliases = self._collect_aliases()
-        self.guard_comments = self._collect_guard_comments(source)
+    def __init__(self, src: SourceFile):
+        self.tree = src.tree
+        self.path = src.path
+        self.parents = src.parents
+        self.dotted = src.dotted
+        self.guard_comments: dict[int, str] = {}
+        for line, text in src.comments.items():
+            m = _GUARD_RE.search(text)
+            if m:
+                self.guard_comments[line] = m.group(1)
 
-    def _collect_aliases(self) -> dict[str, str]:
-        aliases: dict[str, str] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.asname:
-                        aliases[a.asname] = a.name
-                    else:
-                        root = a.name.split(".")[0]
-                        aliases[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for a in node.names:
-                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-        return aliases
-
-    @staticmethod
-    def _collect_guard_comments(source: str) -> dict[int, str]:
-        guards: dict[int, str] = {}
-        try:
-            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-                if tok.type != tokenize.COMMENT:
-                    continue
-                m = _GUARD_RE.search(tok.string)
-                if m:
-                    guards[tok.start[0]] = m.group(1)
-        except tokenize.TokenError:
-            pass  # surfaces as the ast.parse error instead
-        return guards
-
-    def dotted(self, node) -> str | None:
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(self.aliases.get(node.id, node.id))
-        return ".".join(reversed(parts))
-
-    def run(self) -> list[LocksetFinding]:
-        findings: list[LocksetFinding] = []
+    def run(self) -> list[Finding]:
+        findings: list[Finding] = []
         for node in ast.walk(self.tree):
             if isinstance(node, ast.ClassDef):
                 findings.extend(_ClassScan(self, node).run())
@@ -889,99 +754,23 @@ class _ModuleScan:
 # -- public API ---------------------------------------------------------------
 
 
-def analyze_source(source: str, path: str = "<string>") -> list[LocksetFinding]:
+def check(files: list[SourceFile]) -> list[Finding]:
+    """The DT7xx pass over every file, pragmas not yet applied."""
+    return [f for src in files for f in _ModuleScan(src).run()]
+
+
+def analyze_source(source: str, path: str = "<string>") -> list[Finding]:
     """Analyze one source string; returns findings not pragma-disabled."""
-    tree = ast.parse(source, filename=path)
-    findings = _ModuleScan(tree, path, source).run()
-    disabled = _disabled_lines(source)
-    kept = [
-        f for f in findings
-        if f.rule not in disabled.get(f.line, set())
-        and "ALL" not in disabled.get(f.line, set())
-    ]
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
+    files = [SourceFile(source, path)]
+    return unsuppressed(check(files), files)
 
 
-def _iter_files(paths):
-    for raw in paths:
-        p = Path(raw)
-        if p.is_file() and p.suffix == ".py":
-            yield p
-        elif p.is_dir():
-            for sub in sorted(p.rglob("*.py")):
-                if not SKIPPED_TREE_PARTS.intersection(sub.parts):
-                    yield sub
-
-
-def analyze_paths(paths) -> list[LocksetFinding]:
+def analyze_paths(paths) -> list[Finding]:
     """Analyze every ``.py`` under ``paths``.
 
-    Directories named in :data:`SKIPPED_TREE_PARTS` (tests, benchmarks,
-    examples, fixture corpora) are pruned from tree traversal;
-    explicitly named files are always analyzed.
+    ``tests``, ``benchmarks``, ``examples`` and fixture corpora are
+    pruned from tree traversal; explicitly named files are always
+    analyzed.
     """
-    findings: list[LocksetFinding] = []
-    for path in _iter_files(paths):
-        findings.extend(analyze_source(path.read_text(), str(path)))
-    return findings
-
-
-def load_baseline(path: str | Path | None,
-                  disabled: bool = False) -> Baseline:
-    """The baseline to apply: empty when disabled or the file is absent."""
-    if disabled:
-        return Baseline.empty()
-    p = Path(path if path is not None else DEFAULT_BASELINE)
-    if p.is_file():
-        return Baseline.load(p)
-    return Baseline.empty()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro analyze",
-        description="static lockset race analyzer (DT701-DT704)",
-    )
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to analyze (default: src)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="baseline file of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline and report everything")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "(justifications of surviving entries are kept)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for rule_id in sorted(LOCKSET_RULES):
-            print(f"{rule_id}  {LOCKSET_RULES[rule_id]}")
-        return 0
-    findings = analyze_paths(args.paths)
-    baseline = load_baseline(args.baseline, disabled=args.no_baseline)
-    if args.update_baseline:
-        Baseline.write(Path(args.baseline), findings, previous=baseline)
-        print(f"wrote {args.baseline}: {len(findings)} grandfathered "
-              f"finding(s)")
-        return 0
-    fresh, matched = baseline.filter(findings)
-    for f in fresh:
-        print(f)
-    n_files = sum(1 for _ in _iter_files(args.paths))
-    stale = baseline.stale_keys(findings)
-    suffix = f", {len(matched)} baselined" if matched else ""
-    if stale and not args.no_baseline:
-        print(f"note: {len(stale)} stale baseline entrie(s) no longer fire: "
-              + ", ".join(stale))
-    if fresh:
-        print(f"\n{len(fresh)} new finding(s) in {n_files} file(s){suffix}")
-        return 1
-    print(f"lockset clean: {n_files} file(s), 0 new findings{suffix}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    files = deep_files(paths)
+    return unsuppressed(check(files), files)

@@ -68,30 +68,26 @@ Declaring intent
 
 Baseline
 --------
-Same workflow as the lockset and resource-flow analyzers:
-grandfathered findings live in a committed ``protoflow_baseline.json``
-keyed line-independently, every entry carries a written justification,
-and CI fails on new findings and on stale entries.  The committed
-baseline is *empty*: every finding the analyzer raised at introduction
-was either fixed or taught as a false positive with the annotations
-above (the triage log is in ``docs/devtools.md``).
+Grandfathered findings live in the committed ``lint_baseline.json``
+shared by the deep analyzers, keyed line-independently; every entry
+carries a written justification.  There are no DT90x entries: every
+finding the analyzer raised at introduction was either fixed or taught
+as a false positive with the annotations above (the triage log is in
+``docs/devtools.md``).
 
-Run with ``make analyze``, ``python -m repro.devtools.protoflow
-[paths]``, or as part of ``repro lint`` / ``make lint``.  ``repro lint
+Part of ``repro lint`` / ``make lint``, whose driver reads and parses
+each file once and hands the set to :func:`check`: a per-file scan,
+then the cross-file wire pairing and endpoint checks.  ``repro lint
 --emit-proto-dot`` renders the spec automata to Graphviz
 (``docs/protocol_states.dot``).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
 import struct as _struct
-import sys
-import tokenize
 from dataclasses import dataclass, field
-from io import StringIO
 from pathlib import Path
 
 from repro.daemon.protocol import CONTROL_TAGS
@@ -100,24 +96,21 @@ from repro.daemon.protocol_spec import (
     SPEC_TAGS,
     spec_errors,
 )
-from repro.devtools.lint import _disabled_lines
-from repro.devtools.lockset import (
-    Baseline,
-    LocksetFinding,
-    SKIPPED_TREE_PARTS,
-    _baseline_path,
+from repro.devtools.lint import (
+    Finding,
+    SourceFile,
+    baseline_path,
+    deep_files,
+    unsuppressed,
 )
 
 __all__ = [
     "PROTOFLOW_RULES",
-    "DEFAULT_BASELINE",
-    "ProtoFinding",
     "WireSite",
     "analyze_source",
     "analyze_paths",
-    "load_baseline",
+    "check",
     "render_dot",
-    "main",
 ]
 
 PROTOFLOW_RULES: dict[str, str] = {
@@ -129,9 +122,6 @@ PROTOFLOW_RULES: dict[str, str] = {
     "DT904": "dead protocol surface: dead dispatch branch, unreachable "
              "spec state, unexercised spec send, or registry drift",
 }
-
-#: default baseline filename, resolved against the working directory
-DEFAULT_BASELINE = "protoflow_baseline.json"
 
 #: analyzed-set suffix that enables the spec-exercise checks (dead spec
 #: states/sends, registry drift): they compare the *whole* codebase
@@ -156,10 +146,6 @@ _WIRE_RE = re.compile(
 _ONE_SIDED_WORDS = ("one-sided", "vectorized", "external")
 
 _STRUCT_FMT_RE = re.compile(r"(\d*)([cbBhHiIlLqQnNefdspPx?])")
-
-
-class ProtoFinding(LocksetFinding):
-    """A DT90x finding plus its line-independent baseline key."""
 
 
 @dataclass
@@ -199,7 +185,6 @@ class _ModuleFacts:
     wire_sites: list = field(default_factory=list)
     endpoints: dict = field(default_factory=dict)  # name -> _EndpointFacts
     findings: list = field(default_factory=list)  # file-local findings
-    disabled: dict = field(default_factory=dict)  # line -> {rules}
 
 
 # -- format normalization ------------------------------------------------------
@@ -246,18 +231,6 @@ def _describe_mismatch(ref: str, other: str) -> str:
 # -- comment annotations -------------------------------------------------------
 
 
-def _collect_comments(source: str):
-    """line -> comment text, via tokenize (docstrings excluded)."""
-    comments: dict[int, str] = {}
-    try:
-        for tok in tokenize.generate_tokens(StringIO(source).readline):
-            if tok.type == tokenize.COMMENT:
-                comments[tok.start[0]] = tok.string
-    except tokenize.TokenError:
-        pass
-    return comments
-
-
 def _annotation_at(comments, lineno, end_lineno, regex):
     """First regex match in the comments on ``lineno - 1`` (the line
     above) through ``end_lineno`` (trailing on any line of the node)."""
@@ -273,19 +246,6 @@ def _annotation_at(comments, lineno, end_lineno, regex):
 # -- per-module scan -----------------------------------------------------------
 
 
-def _dotted(node: ast.AST, aliases: dict) -> str | None:
-    """Resolve ``st.unpack_from`` through import aliases to
-    ``struct.unpack_from``; None for non-name expressions."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(aliases.get(node.id, node.id))
-    return ".".join(reversed(parts))
-
-
 def _const_str(node) -> str | None:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
@@ -295,42 +255,30 @@ def _const_str(node) -> str | None:
 class _ModuleScan:
     """Single-file fact extraction plus the file-local checks."""
 
-    def __init__(self, tree: ast.AST, path: str, source: str):
-        self.tree = tree
-        self.path = path
-        self.facts = _ModuleFacts(path=path)
-        self.comments = _collect_comments(source)
-        self.aliases: dict[str, str] = {}
+    def __init__(self, src: SourceFile):
+        self.tree = src.tree
+        self.path = src.path
+        self.dotted = src.dotted
+        self.facts = _ModuleFacts(path=src.path)
+        self.comments = src.comments
         self.struct_consts: dict[str, str] = {}  # NAME -> format string
         # a trailing `# speaks:` on a class line is also "the line
         # above" for a def on the next line; report each bad
         # annotation once, not once per scope it attaches to
         self._speaks_reported: set[str] = set()
-        self._collect_imports()
         self._collect_struct_consts()
-
-    def _collect_imports(self):
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name.split(".")[0]] \
-                        = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = \
-                        f"{node.module}.{alias.name}"
 
     def _collect_struct_consts(self):
         """Module-level ``_LEN = struct.Struct(">I")`` constants, so
         ``_LEN.pack(...)`` sites resolve to the right format."""
-        for node in self.tree.body if hasattr(self.tree, "body") else []:
+        for node in self.tree.body:
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
             target = node.targets[0]
             value = node.value
             if (isinstance(target, ast.Name)
                     and isinstance(value, ast.Call)
-                    and _dotted(value.func, self.aliases) == "struct.Struct"
+                    and self.dotted(value.func) == "struct.Struct"
                     and value.args):
                 fmt = _const_str(value.args[0])
                 if fmt is not None:
@@ -343,9 +291,8 @@ class _ModuleScan:
         return self.facts
 
     def _finding(self, line: int, rule: str, message: str, key: str):
-        self.facts.findings.append(ProtoFinding(
-            path=self.path, line=line, rule=rule, message=message,
-            key=f"{_baseline_path(self.path)}:{rule}:{key}"))
+        self.facts.findings.append(
+            Finding.keyed(self.path, line, rule, message, key))
 
     # -- scope walk with # speaks: context -------------------------------------
 
@@ -402,7 +349,7 @@ class _ModuleScan:
                     self._endpoint_facts(endpoint).has_sink = True
 
     def _inspect_call(self, node: ast.Call, endpoint, state):
-        dotted = _dotted(node.func, self.aliases)
+        dotted = self.dotted(node.func)
         # -- wire sites --------------------------------------------------------
         if dotted in ("struct.pack", "struct.pack_into"):
             self._record_wire(node, "pack", node.args and
@@ -428,7 +375,7 @@ class _ModuleScan:
             return
         basename = dotted.rsplit(".", 1)[-1] if dotted else None
         if basename == "isinstance" and len(node.args) == 2:
-            kind = _dotted(node.args[1], self.aliases)
+            kind = self.dotted(node.args[1])
             kind = kind.rsplit(".", 1)[-1] if kind else None
             if kind in _KIND_PSEUDO_TAGS:
                 self._record_handle(endpoint, state,
@@ -567,16 +514,15 @@ def _merge_endpoint_facts(all_facts):
     return merged
 
 
-def _check_wire_schemas(all_facts) -> list[ProtoFinding]:
+def _check_wire_schemas(all_facts) -> list[Finding]:
     """DT901 over the merged wire sites: named records must agree and
     have both sides; unnamed formats must pair up by layout."""
-    findings: list[ProtoFinding] = []
+    findings: list[Finding] = []
     sites = [s for facts in all_facts for s in facts.wire_sites]
 
     def emit(site, message, key):
-        findings.append(ProtoFinding(
-            path=site.path, line=site.line, rule="DT901", message=message,
-            key=f"{_baseline_path(site.path)}:DT901:{key}"))
+        findings.append(
+            Finding.keyed(site.path, site.line, "DT901", message, key))
 
     named: dict[str, list[WireSite]] = {}
     auto: dict[tuple, list[WireSite]] = {}
@@ -594,7 +540,7 @@ def _check_wire_schemas(all_facts) -> list[ProtoFinding]:
                 emit(site,
                      f"wire record {record!r}: {site.op} format "
                      f"{site.fmt!r} does not match {ref.op} format "
-                     f"{ref.fmt!r} at {_baseline_path(ref.path)}:"
+                     f"{ref.fmt!r} at {baseline_path(ref.path)}:"
                      f"{ref.line} — {_describe_mismatch(ref.fmt, site.fmt)}",
                      f"wire.{record}")
         ops = {s.op for s in group}
@@ -625,10 +571,10 @@ def _check_wire_schemas(all_facts) -> list[ProtoFinding]:
     return findings
 
 
-def _check_endpoints(merged) -> list[ProtoFinding]:
+def _check_endpoints(merged) -> list[Finding]:
     """DT902 over the merged per-endpoint facts: every receivable tag
     handled per annotated group, and a sink per dispatching endpoint."""
-    findings: list[ProtoFinding] = []
+    findings: list[Finding] = []
     for name in sorted(merged):
         facts = merged[name]
         spec = ENDPOINTS.get(name)
@@ -648,40 +594,34 @@ def _check_endpoints(merged) -> list[ProtoFinding]:
                 expected = spec.states[state].receives
             for tag in sorted(expected - handled):
                 where = f"{name}@{state}" if state else name
-                findings.append(ProtoFinding(
-                    path=path, line=line, rule="DT902",
-                    message=(
-                        f"{where} never dispatches receivable tag "
-                        f"{tag!r} (spec: protocol_spec.ENDPOINTS"
-                        f"[{name!r}]); add a handler branch or the "
-                        f"peer's send is silently dropped"),
-                    key=f"{_baseline_path(path)}:DT902:"
-                        f"{name}.{state or '*'}.{tag}"))
+                findings.append(Finding.keyed(
+                    path, line, "DT902",
+                    f"{where} never dispatches receivable tag "
+                    f"{tag!r} (spec: protocol_spec.ENDPOINTS"
+                    f"[{name!r}]); add a handler branch or the "
+                    f"peer's send is silently dropped",
+                    f"{name}.{state or '*'}.{tag}"))
         if facts.anchors and not facts.has_sink:
             state, (path, line) = sorted(
                 facts.anchors.items(),
                 key=lambda kv: kv[1])[0]
-            findings.append(ProtoFinding(
-                path=path, line=line, rule="DT902",
-                message=(
-                    f"endpoint {name!r} dispatches protocol traffic "
-                    f"but owns no unknown-control sink: unrecognized "
-                    f"tags vanish without a counter (add e.g. "
-                    f"`self.unknown_controls += 1` in the else branch)"),
-                key=f"{_baseline_path(path)}:DT902:{name}.unknown-sink"))
+            findings.append(Finding.keyed(
+                path, line, "DT902",
+                f"endpoint {name!r} dispatches protocol traffic "
+                f"but owns no unknown-control sink: unrecognized "
+                f"tags vanish without a counter (add e.g. "
+                f"`self.unknown_controls += 1` in the else branch)",
+                f"{name}.unknown-sink"))
     return findings
 
 
-def _check_spec_exercise(merged, spec_path: str) -> list[ProtoFinding]:
+def _check_spec_exercise(merged, spec_path: str) -> list[Finding]:
     """Spec-gated DT903/DT904: the spec itself must be consistent,
     reachable, exercised by code, and in sync with the registry."""
-    findings: list[ProtoFinding] = []
-    key_path = _baseline_path(spec_path)
+    findings: list[Finding] = []
 
     def emit(rule, message, key, line=1):
-        findings.append(ProtoFinding(
-            path=spec_path, line=line, rule=rule, message=message,
-            key=f"{key_path}:{rule}:{key}"))
+        findings.append(Finding.keyed(spec_path, line, rule, message, key))
 
     for problem in spec_errors():
         emit("DT904", f"protocol_spec inconsistency: {problem}",
@@ -750,14 +690,11 @@ def _check_spec_exercise(merged, spec_path: str) -> list[ProtoFinding]:
 # -- public API ----------------------------------------------------------------
 
 
-def _scan_source(source: str, path: str) -> _ModuleFacts:
-    tree = ast.parse(source, filename=path)
-    facts = _ModuleScan(tree, path, source).run()
-    facts.disabled = _disabled_lines(source)
-    return facts
-
-
-def _assemble(all_facts) -> list[ProtoFinding]:
+def check(files: list[SourceFile]) -> list[Finding]:
+    """The DT9xx pass, pragmas not yet applied: scan each file, then
+    check wire pairing and endpoint automata across the whole set;
+    spec-exercise checks activate when the spec module is in it."""
+    all_facts = [_ModuleScan(src).run() for src in files]
     merged = _merge_endpoint_facts(all_facts)
     findings = [f for facts in all_facts for f in facts.findings]
     findings += _check_wire_schemas(all_facts)
@@ -767,62 +704,23 @@ def _assemble(all_facts) -> list[ProtoFinding]:
                       SPEC_MODULE_SUFFIX)]
     if spec_files:
         findings += _check_spec_exercise(merged, spec_files[0])
-    disabled_by_path = {facts.path: facts.disabled for facts in all_facts}
-    kept = []
-    for f in findings:
-        disabled = disabled_by_path.get(f.path, {}).get(f.line, set())
-        if f.rule in disabled or "ALL" in disabled:
-            continue
-        kept.append(f)
-    kept.sort(key=lambda f: (f.path, f.line, f.rule, f.key))
-    return kept
+    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.key))
+    return findings
 
 
-def analyze_source(source: str,
-                   path: str = "<string>") -> list[ProtoFinding]:
+def analyze_source(source: str, path: str = "<string>") -> list[Finding]:
     """Analyze one source string as a self-contained protocol program;
     the spec-exercise checks stay off unless ``path`` is the spec."""
-    return _assemble([_scan_source(source, path)])
+    files = [SourceFile(source, path)]
+    return unsuppressed(check(files), files)
 
 
-def _iter_files(paths):
-    for raw in paths:
-        p = Path(raw)
-        if p.is_file() and p.suffix == ".py":
-            yield p
-        elif p.is_dir():
-            for sub in sorted(p.rglob("*.py")):
-                if not SKIPPED_TREE_PARTS.intersection(sub.parts):
-                    yield sub
-
-
-def analyze_paths(paths) -> list[ProtoFinding]:
+def analyze_paths(paths) -> list[Finding]:
     """Analyze every ``.py`` under ``paths`` (tests/benchmarks/examples
-    pruned from tree traversal; explicit files always analyzed).  The
-    wire-pairing and endpoint automata are checked across the whole
-    set; spec-exercise checks activate when the spec module is in it."""
-    all_facts = []
-    for path in _iter_files(paths):
-        all_facts.append(_scan_source(path.read_text(), str(path)))
-    return _assemble(all_facts)
-
-
-BASELINE_COMMENT = (
-    "Grandfathered DT90x protocol-conformance findings; every entry "
-    "needs a written justification. Regenerate with "
-    "`repro lint --update-baseline` (see docs/devtools.md)."
-)
-
-
-def load_baseline(path: str | Path | None,
-                  disabled: bool = False) -> Baseline:
-    """The baseline to apply: empty when disabled or the file is absent."""
-    if disabled:
-        return Baseline.empty()
-    p = Path(path if path is not None else DEFAULT_BASELINE)
-    if p.is_file():
-        return Baseline.load(p)
-    return Baseline.empty()
+    pruned from tree traversal; explicit files always analyzed) as one
+    protocol program."""
+    files = deep_files(paths)
+    return unsuppressed(check(files), files)
 
 
 # -- Graphviz rendering of the spec --------------------------------------------
@@ -875,63 +773,3 @@ def render_dot(endpoints=None) -> str:
                     f"label=\"{label}\", constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# -- CLI -----------------------------------------------------------------------
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro protoflow",
-        description="protocol-conformance analyzer (DT901-DT904)",
-    )
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to analyze (default: src)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="baseline file of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline and report everything")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "(justifications of surviving entries are kept)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    parser.add_argument("--emit-dot", metavar="FILE",
-                        help="write the spec automata as Graphviz DOT "
-                             "and exit")
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for rule_id in sorted(PROTOFLOW_RULES):
-            print(f"{rule_id}  {PROTOFLOW_RULES[rule_id]}")
-        return 0
-    if args.emit_dot:
-        Path(args.emit_dot).write_text(render_dot())
-        print(f"wrote {args.emit_dot}")
-        return 0
-    findings = analyze_paths(args.paths)
-    baseline = load_baseline(args.baseline, disabled=args.no_baseline)
-    if args.update_baseline:
-        Baseline.write(Path(args.baseline), findings, previous=baseline,
-                       comment=BASELINE_COMMENT)
-        print(f"wrote {args.baseline}: {len(findings)} grandfathered "
-              f"finding(s)")
-        return 0
-    fresh, matched = baseline.filter(findings)
-    for f in fresh:
-        print(f)
-    n_files = sum(1 for _ in _iter_files(args.paths))
-    stale = baseline.stale_keys(findings)
-    suffix = f", {len(matched)} baselined" if matched else ""
-    if stale and not args.no_baseline:
-        print(f"note: {len(stale)} stale baseline entrie(s) no longer fire: "
-              + ", ".join(stale))
-    if fresh:
-        print(f"\n{len(fresh)} new finding(s) in {n_files} file(s){suffix}")
-        return 1
-    print(f"protoflow clean: {n_files} file(s), 0 new findings{suffix}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,14 +1,22 @@
 """The lint pass is itself under test: every rule is pinned to a
 fixture file that violates it exactly once, the pragma escape hatch is
-exercised, and HEAD of ``src/``+``tests/`` is asserted clean."""
+exercised, HEAD of ``src/``+``tests/`` is asserted clean, and the one
+driver is checked to share its baseline, name resolution and parse
+across every pass."""
 
+import ast
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.devtools import lint, lockset, protoflow, resource_flow
 from repro.devtools.lint import (
     RULES,
     Finding,
+    SourceFile,
+    iter_python_files,
     lint_paths,
     lint_source,
     main as lint_main,
@@ -144,3 +152,71 @@ class TestRegistryRules:
         findings = lint_source(src)
         assert [f.rule for f in findings] == ["DT501"]
         assert "warp_drive" in findings[0].message
+
+
+class TestDriver:
+    def test_update_baseline_covers_every_deep_analyzer(self, tmp_path,
+                                                        capsys):
+        fixtures = [str(FIXTURES / name) for name in (
+            "dt701_inconsistent_lockset.py",
+            "dt802_double_unlink.py",
+            "dt901_schema_mismatch.py",
+        )]
+        path = tmp_path / "baseline.json"
+        rc = lint_main([*fixtures, "--baseline", str(path),
+                        "--update-baseline"])
+        assert rc == 0
+        keys = list(json.loads(path.read_text())["grandfathered"])
+        assert len(keys) == 3
+        for rule in ("DT701", "DT802", "DT901"):
+            assert any(f":{rule}:" in key for key in keys), keys
+        # the one baseline file grandfathers all three passes
+        capsys.readouterr()
+        rc = lint_main([*fixtures, "--baseline", str(path)])
+        assert rc == 0
+        assert "3 baselined" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "scan",
+        [lint._Analyzer, lockset._ModuleScan, resource_flow._ModuleScan,
+         protoflow._ModuleScan],
+        ids=["lint", "lockset", "resource_flow", "protoflow"],
+    )
+    def test_import_of_a_submodule_binds_the_root_name(self, scan):
+        src = SourceFile("import os.path\nos.getcwd()\n")
+        call = next(n for n in ast.walk(src.tree) if isinstance(n, ast.Call))
+        assert scan(src).dotted(call.func) == "os.getcwd"
+
+    def test_json_report_counts_baselined_and_stale_entries(self, tmp_path,
+                                                            capsys):
+        """The report CI's job summary and SARIF upload read, from one
+        run: per-rule baselined counts and the stale keys."""
+        dt701 = str(FIXTURES / "dt701_inconsistent_lockset.py")
+        dt802 = str(FIXTURES / "dt802_double_unlink.py")
+        path = tmp_path / "baseline.json"
+        lint_main([dt701, dt802, "--baseline", str(path),
+                   "--update-baseline"])
+        capsys.readouterr()
+        sarif = tmp_path / "lint.sarif"
+        rc = lint_main([dt802, "--baseline", str(path), "--json",
+                        "--sarif", str(sarif), "--fail-on-stale"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1  # the DT701 entry no longer fires
+        assert report["findings"] == []
+        assert report["baselined"] == {"DT802": 1}
+        assert len(report["stale"]) == 1 and ":DT701:" in report["stale"][0]
+        assert json.loads(sarif.read_text())["runs"][0]["results"] == []
+
+    def test_one_parse_per_file(self, monkeypatch):
+        real_parse = ast.parse
+        parsed = Counter()
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed[str(filename)] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        paths = [str(REPO / "src"), str(REPO / "tests")]
+        assert lint_main(paths) == 0
+        assert set(parsed) == {str(p) for p, _ in iter_python_files(paths)}
+        assert set(parsed.values()) == {1}

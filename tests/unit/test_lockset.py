@@ -9,16 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import main as lint_main
+from repro.devtools.lint import DEFAULT_BASELINE, Baseline, main as lint_main
 from repro.devtools.lockset import (
-    DEFAULT_BASELINE,
     LOCKSET_RULES,
-    Baseline,
     analyze_paths,
     analyze_source,
     guarded_by,
-    load_baseline,
-    main as lockset_main,
 )
 
 pytestmark = pytest.mark.lint
@@ -131,7 +127,7 @@ class TestBaseline:
         findings = self._fixture_findings()
         path = tmp_path / "baseline.json"
         Baseline.write(path, findings)
-        loaded = load_baseline(path)
+        loaded = Baseline.load(path)
         fresh, matched = loaded.filter(findings)
         assert fresh == [] and matched == [findings[0].key]
         data = json.loads(path.read_text())
@@ -151,9 +147,15 @@ class TestBaseline:
             "repro/gone.py:DT701:Gone._x"
         ]
 
-    def test_disabled_and_missing_baselines_are_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json").entries == {}
-        assert load_baseline(None, disabled=True).entries == {}
+    def test_disabled_and_missing_baselines_are_empty(self, tmp_path, capsys):
+        assert Baseline.load(tmp_path / "nope.json").entries == {}
+        # --no-baseline ignores a baseline that would match the finding
+        path = tmp_path / "baseline.json"
+        Baseline.write(path, self._fixture_findings())
+        rc = lint_main([str(FIXTURES / "dt701_inconsistent_lockset.py"),
+                        "--baseline", str(path), "--no-baseline"])
+        assert rc == 1
+        assert "DT701" in capsys.readouterr().out
 
     def test_committed_baseline_has_no_unjustified_entries(self):
         data = json.loads((REPO / DEFAULT_BASELINE).read_text())
@@ -180,34 +182,34 @@ class TestTreeIsClean:
 
 class TestCli:
     def test_exit_nonzero_on_violation(self, capsys):
-        rc = lockset_main([str(FIXTURES / "dt704_scope_leak.py"),
-                           "--no-baseline"])
+        rc = lint_main([str(FIXTURES / "dt704_scope_leak.py"),
+                        "--no-baseline"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "DT704" in out and "dt704_scope_leak.py:12" in out
 
     def test_exit_zero_on_clean_file(self, capsys):
-        rc = lockset_main([str(FIXTURES / "dt70x_guarded_clean.py"),
-                           "--no-baseline"])
+        rc = lint_main([str(FIXTURES / "dt70x_guarded_clean.py"),
+                        "--no-baseline"])
         assert rc == 0
-        assert "0 new findings" in capsys.readouterr().out
+        assert "0 findings" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
-        rc = lockset_main(["--list-rules"])
+        rc = lint_main(["--list-rules"])
         out = capsys.readouterr().out
         assert rc == 0
-        for rule_id in LOCKSET_RULES:
-            assert rule_id in out
+        for rule_id, meaning in LOCKSET_RULES.items():
+            assert f"{rule_id}  {meaning}" in out
 
     def test_update_baseline_writes_and_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "baseline.json"
-        rc = lockset_main([str(FIXTURES / "dt701_inconsistent_lockset.py"),
-                           "--baseline", str(path), "--update-baseline"])
+        rc = lint_main([str(FIXTURES / "dt701_inconsistent_lockset.py"),
+                        "--baseline", str(path), "--update-baseline"])
         assert rc == 0
         assert len(json.loads(path.read_text())["grandfathered"]) == 1
         # with the baseline applied, the same run is now clean
-        rc = lockset_main([str(FIXTURES / "dt701_inconsistent_lockset.py"),
-                           "--baseline", str(path)])
+        rc = lint_main([str(FIXTURES / "dt701_inconsistent_lockset.py"),
+                        "--baseline", str(path)])
         assert rc == 0
         assert "1 baselined" in capsys.readouterr().out
 
@@ -217,12 +219,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 1
         assert "DT701" in out
-
-    def test_lint_cli_no_lockset_skips_the_pass(self, capsys):
-        rc = lint_main([str(FIXTURES / "dt701_inconsistent_lockset.py"),
-                        "--no-lockset"])
-        assert rc == 0
-        assert "DT701" not in capsys.readouterr().out
 
     def test_lint_list_rules_includes_lockset_catalogue(self, capsys):
         rc = lint_main(["--list-rules"])

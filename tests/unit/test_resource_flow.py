@@ -10,14 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lockset import Baseline
+from repro.devtools.lint import DEFAULT_BASELINE, Baseline, main as lint_main
 from repro.devtools.resource_flow import (
-    DEFAULT_BASELINE,
     RESOURCE_RULES,
     analyze_paths,
     analyze_source,
-    load_baseline,
-    main as resource_flow_main,
 )
 
 pytestmark = pytest.mark.lint
@@ -122,7 +119,7 @@ class TestBaseline:
         findings = self._fixture_findings()
         path = tmp_path / "baseline.json"
         Baseline.write(path, findings)
-        loaded = load_baseline(path)
+        loaded = Baseline.load(path)
         fresh, matched = loaded.filter(findings)
         assert fresh == [] and matched == [findings[0].key]
         data = json.loads(path.read_text())
@@ -134,9 +131,15 @@ class TestBaseline:
             "repro/gone.py:DT801:Gone.x"
         ]
 
-    def test_disabled_and_missing_baselines_are_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json").entries == {}
-        assert load_baseline(None, disabled=True).entries == {}
+    def test_disabled_and_missing_baselines_are_empty(self, tmp_path, capsys):
+        assert Baseline.load(tmp_path / "nope.json").entries == {}
+        # --no-baseline ignores a baseline that would match the finding
+        path = tmp_path / "baseline.json"
+        Baseline.write(path, self._fixture_findings())
+        rc = lint_main([str(FIXTURES / "dt801_exception_leak.py"),
+                        "--baseline", str(path), "--no-baseline"])
+        assert rc == 1
+        assert "DT801" in capsys.readouterr().out
 
     def test_committed_baseline_has_no_unjustified_entries(self):
         data = json.loads((REPO / DEFAULT_BASELINE).read_text())
@@ -163,21 +166,21 @@ class TestTreeIsClean:
 
 class TestCli:
     def test_exit_nonzero_on_violation(self, capsys):
-        rc = resource_flow_main([str(FIXTURES / "dt802_double_unlink.py"),
-                                 "--no-baseline"])
+        rc = lint_main([str(FIXTURES / "dt802_double_unlink.py"),
+                        "--no-baseline"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "DT802" in out and "dt802_double_unlink.py:13" in out
 
     def test_exit_zero_on_clean_file(self, capsys):
-        rc = resource_flow_main([str(FIXTURES / "dt80x_clean.py"),
-                                 "--no-baseline"])
+        rc = lint_main([str(FIXTURES / "dt80x_clean.py"),
+                        "--no-baseline"])
         assert rc == 0
-        assert "0 new findings" in capsys.readouterr().out
+        assert "0 findings" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
-        rc = resource_flow_main(["--list-rules"])
+        rc = lint_main(["--list-rules"])
         out = capsys.readouterr().out
         assert rc == 0
-        for rule_id in RESOURCE_RULES:
-            assert rule_id in out
+        for rule_id, meaning in RESOURCE_RULES.items():
+            assert f"{rule_id}  {meaning}" in out
